@@ -14,9 +14,9 @@
 //! cargo run --release -p macrochip-bench --bin degradation
 //! ```
 //!
-//! Set `MACROCHIP_FAST=1` for a shorter traffic window; `--jobs <N>` (or
-//! `MACROCHIP_JOBS=N`) shards the (network × fault-rate) grid across N
-//! workers without changing the table.
+//! Set `MACROCHIP_FAST=1` for a shorter traffic window; `--jobs <N>`
+//! shards the (network × fault-rate) grid across N workers without
+//! changing the table.
 
 use desim::{Span, Time};
 use faults::{FaultPlan, ResilientNetwork};
@@ -74,7 +74,7 @@ fn main() {
         .collect();
     let rows = run_indexed(
         &cells,
-        macrochip_bench::CampaignEnv::detect().jobs,
+        macrochip_bench::CampaignArgs::detect().jobs,
         |_, &(kind, rate)| {
             let plan = plan_for(rate);
             let mut net =

@@ -1,9 +1,9 @@
 //! Regenerates **Figure 10: Energy-Delay Product, Normalized to the
 //! Point-to-Point Network** (paper §6.3, log plot).
 //!
-//! The coherent grid behind it shards across `--jobs <N>` /
-//! `MACROCHIP_JOBS=N` workers (byte-identical output) and is cached as
-//! CSV under `results/`; `--no-cache` forces a resimulation.
+//! The coherent grid behind it shards across `--jobs <N>` workers
+//! (byte-identical output) and is kept in the campaign result cache;
+//! `--no-cache` forces a resimulation.
 
 use macrochip::prelude::*;
 use macrochip::report::{fmt, Table};

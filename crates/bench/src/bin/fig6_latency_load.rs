@@ -7,9 +7,8 @@
 //! next to the paper's observation.
 //!
 //! Environment: `MACROCHIP_FAST=1` shrinks the simulation window;
-//! `--jobs <N>` (or `MACROCHIP_JOBS=N`) shards the (pattern × network)
-//! curves across N workers — the printed curves and the CSV are
-//! byte-identical to a serial run.
+//! `--jobs <N>` shards the (pattern × network) curves across N workers —
+//! the printed curves and the CSV are byte-identical to a serial run.
 
 use desim::Span;
 use macrochip::campaign::run_indexed;
@@ -58,7 +57,7 @@ fn main() {
                 .map(move |&kind| (pattern, kind))
         })
         .collect();
-    let jobs = macrochip_bench::CampaignEnv::detect().jobs;
+    let jobs = macrochip_bench::CampaignArgs::detect().jobs;
     let measured = run_indexed(&curves, jobs, |_, &(pattern, kind)| {
         latency_vs_load(kind, pattern, &figure6_loads(pattern), &config, options)
     });

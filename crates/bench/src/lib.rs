@@ -2,8 +2,10 @@
 //!
 //! Every binary under `src/bin/` regenerates one artifact of the paper's
 //! evaluation (see DESIGN.md §5). The coherent-run grid behind Figures 7,
-//! 8, 9 and 10 is expensive, so it is computed once and cached as CSV in
-//! the results directory; the figure binaries share it.
+//! 8, 9 and 10 is expensive, so it runs through the campaign engine: its
+//! points are sharded across `--jobs` workers and stored in the shared
+//! content-addressed result cache, so the four figure binaries simulate
+//! the grid once between them.
 
 use macrochip::prelude::*;
 use std::fs;
@@ -32,178 +34,82 @@ pub fn fast_mode() -> bool {
     std::env::var("MACROCHIP_FAST").is_ok_and(|v| v == "1")
 }
 
-/// The campaign-engine knobs every regeneration binary shares, parsed
-/// once from the command line and environment.
-///
-/// This is the single home of the `--jobs`/`MACROCHIP_JOBS`,
-/// `--no-cache`/`MACROCHIP_NO_CACHE` and `MACROCHIP_CACHE_DIR` parsing —
-/// the binaries (and [`jobs`]/[`no_cache`] below) all go through it, and
-/// `run_all` forwards the resolved values to its children so a child
-/// never re-derives them differently.
+/// The campaign-engine flags every regeneration binary shares, parsed
+/// from its command line. `run_all` passes its own arguments on to each
+/// child, so every child parses the same flags the same way.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignEnv {
-    /// Worker threads (1 = serial, 0 = one per hardware thread). Results
-    /// come back in canonical order whatever the value, so every
-    /// regenerated artifact is byte-identical to a serial run.
+pub struct CampaignArgs {
+    /// Worker threads (`--jobs <N>`; 1 = serial, 0 = one per hardware
+    /// thread). Results come back in canonical order whatever the value,
+    /// so every regenerated artifact is byte-identical to a serial run.
     pub jobs: usize,
-    /// Resimulate instead of loading cached results.
+    /// Resimulate instead of loading cached results (`--no-cache`).
     pub no_cache: bool,
-    /// Where the campaign result cache lives (`MACROCHIP_CACHE_DIR`,
-    /// default `results/cache`).
-    pub cache_dir: PathBuf,
 }
 
-impl CampaignEnv {
-    /// Reads the process's command line and environment.
-    pub fn detect() -> CampaignEnv {
+impl CampaignArgs {
+    /// Reads the process's command line.
+    pub fn detect() -> CampaignArgs {
         let args: Vec<String> = std::env::args().collect();
-        CampaignEnv::from_parts(&args, |name| std::env::var(name).ok())
+        CampaignArgs::parse(&args)
     }
 
-    /// The parse itself, injectable for tests: `--jobs <N>` beats
-    /// `MACROCHIP_JOBS`, `--no-cache` or `MACROCHIP_NO_CACHE=1` disables
-    /// the cache, and the cache directory resolves exactly like the
-    /// campaign engine's [`ResultCache::default_dir`].
-    pub fn from_parts(args: &[String], env: impl Fn(&str) -> Option<String>) -> CampaignEnv {
+    /// The parse itself: `--jobs <N>` (default 1) and `--no-cache`.
+    pub fn parse(args: &[String]) -> CampaignArgs {
         let jobs = args
             .iter()
             .position(|a| a == "--jobs")
             .and_then(|i| args.get(i + 1))
             .and_then(|s| s.parse().ok())
-            .or_else(|| env("MACROCHIP_JOBS").and_then(|v| v.parse().ok()))
             .unwrap_or(1);
-        let no_cache = args.iter().any(|a| a == "--no-cache")
-            || env("MACROCHIP_NO_CACHE").is_some_and(|v| v == "1");
-        let cache_dir = ["MACROCHIP_CACHE_DIR", "MACROCHIP_CACHE"]
-            .iter()
-            .find_map(|name| env(name).filter(|v| !v.is_empty()))
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("results").join("cache"));
-        CampaignEnv {
+        CampaignArgs {
             jobs,
-            no_cache,
-            cache_dir,
+            no_cache: args.iter().any(|a| a == "--no-cache"),
         }
     }
 }
 
-/// Worker threads for the parallelizable grids — see [`CampaignEnv`].
-pub fn jobs() -> usize {
-    CampaignEnv::detect().jobs
-}
-
-/// `--no-cache` / `MACROCHIP_NO_CACHE=1` force grids to resimulate
-/// instead of loading cached results — see [`CampaignEnv`].
-pub fn no_cache() -> bool {
-    CampaignEnv::detect().no_cache
-}
-
-/// The seven simulated architectures, figure order (the paper's six
-/// plus the post-paper hierarchical network).
-pub fn all_networks() -> [NetworkKind; 7] {
-    NetworkKind::ALL
-}
-
-/// Parses a network display name back into its kind.
-pub fn network_from_name(name: &str) -> Option<NetworkKind> {
-    NetworkKind::ALL.into_iter().find(|k| k.name() == name)
-}
-
-/// Serializes coherent runs to CSV (for caching and plotting).
-pub fn runs_to_csv(runs: &[CoherentRun]) -> String {
-    let mut out = String::from(
-        "network,workload,makespan_ps,mean_op_latency_ps,ops,delivered_bytes,routed_bytes,packets\n",
-    );
-    for r in runs {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{}\n",
-            r.network.name(),
-            r.workload,
-            r.makespan.as_ps(),
-            r.mean_op_latency.as_ps(),
-            r.ops_completed,
-            r.delivered_bytes,
-            r.routed_bytes,
-            r.packets,
-        ));
-    }
-    out
-}
-
-/// Parses the CSV produced by [`runs_to_csv`].
-pub fn runs_from_csv(csv: &str) -> Option<Vec<CoherentRun>> {
-    let mut runs = Vec::new();
-    for line in csv.lines().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let f: Vec<&str> = line.split(',').collect();
-        if f.len() != 8 {
-            return None;
-        }
-        runs.push(CoherentRun {
-            network: network_from_name(f[0])?,
-            workload: f[1].to_string(),
-            makespan: desim::Span::from_ps(f[2].parse().ok()?),
-            mean_op_latency: desim::Span::from_ps(f[3].parse().ok()?),
-            ops_completed: f[4].parse().ok()?,
-            delivered_bytes: f[5].parse().ok()?,
-            routed_bytes: f[6].parse().ok()?,
-            packets: f[7].parse().ok()?,
-        });
-    }
-    Some(runs)
-}
-
-/// Runs (or loads from cache) the full coherent grid behind Figures 7, 8,
-/// 9 and 10: every workload of the Figure 7 suite on every network.
+/// Runs (or loads from the result cache) the full coherent grid behind
+/// Figures 7, 8, 9 and 10: every workload of the Figure 7 suite on every
+/// network, in that order.
 pub fn coherent_grid() -> Vec<CoherentRun> {
-    let ops = ops_per_core();
-    let campaign_env = CampaignEnv::detect();
-    let cache = results_dir().join(format!("coherent_runs_ops{ops}.csv"));
-    if !campaign_env.no_cache {
-        if let Ok(csv) = fs::read_to_string(&cache) {
-            if let Some(runs) = runs_from_csv(&csv) {
-                if !runs.is_empty() {
-                    eprintln!(
-                        "[coherent grid] loaded {} cached runs from {}",
-                        runs.len(),
-                        cache.display()
-                    );
-                    return runs;
-                }
-            }
-        }
-    }
-    let config = MacrochipConfig::scaled();
-    let suite = WorkloadSpec::figure7_suite(ops);
-    // Every (workload, network) cell is an independent closed-loop
-    // simulation; shard them across `jobs()` workers. The merge brings
-    // the runs back in grid order, so the CSV (and every figure built
-    // from it) is byte-identical to a serial run.
-    let cells: Vec<(WorkloadSpec, NetworkKind)> = suite
-        .iter()
+    let points: Vec<CampaignPoint> = WorkloadSpec::figure7_suite(ops_per_core())
+        .into_iter()
         .flat_map(|spec| {
-            all_networks()
+            NetworkKind::ALL
                 .into_iter()
-                .map(move |kind| (spec.clone(), kind))
+                .map(move |kind| CampaignPoint::Coherent {
+                    kind,
+                    spec: spec.clone(),
+                    seed: 0xFEED,
+                })
         })
         .collect();
-    let runs = run_indexed(&cells, campaign_env.jobs, |_, (spec, kind)| {
-        let start = std::time::Instant::now();
-        let run = run_coherent(*kind, spec, &config, 0xFEED);
-        eprintln!(
-            "[coherent grid] {} on {}: makespan {:.2} us, {} ops, {:.1}s wall",
-            spec.name(),
-            kind.name(),
-            run.makespan.as_ns_f64() / 1e3,
-            run.ops_completed,
-            start.elapsed().as_secs_f64()
-        );
-        run
+    let args = CampaignArgs::detect();
+    let cache = (!args.no_cache).then(|| {
+        let dir = ResultCache::default_dir();
+        ResultCache::new(&dir)
+            .unwrap_or_else(|e| panic!("cannot open result cache {}: {e}", dir.display()))
     });
-    fs::write(&cache, runs_to_csv(&runs)).expect("cannot write results cache");
-    runs
+    let campaign = Campaign {
+        jobs: args.jobs,
+        cache,
+        config: MacrochipConfig::scaled(),
+    };
+    let outcomes = campaign.run(&points);
+    let cached = outcomes.iter().filter(|o| o.cached).count();
+    eprintln!(
+        "[coherent grid] {} points: {cached} from cache, {} simulated",
+        outcomes.len(),
+        outcomes.len() - cached
+    );
+    outcomes
+        .into_iter()
+        .map(|o| match o.result {
+            PointResult::Coherent(run) => run,
+            other => panic!("coherent point returned a {} result", other.tag()),
+        })
+        .collect()
 }
 
 /// Workload column order of Figures 7/8/10.
@@ -230,84 +136,28 @@ pub fn find_run<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::Span;
-
-    #[test]
-    fn csv_round_trips() {
-        let runs = vec![CoherentRun {
-            network: NetworkKind::TokenRing,
-            workload: "Radix".to_string(),
-            makespan: Span::from_ns(1234),
-            mean_op_latency: Span::from_ns(56),
-            ops_completed: 99,
-            delivered_bytes: 1_000,
-            routed_bytes: 0,
-            packets: 42,
-        }];
-        let back = runs_from_csv(&runs_to_csv(&runs)).expect("parse");
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].workload, "Radix");
-        assert_eq!(back[0].network, NetworkKind::TokenRing);
-        assert_eq!(back[0].makespan, Span::from_ns(1234));
-    }
-
-    #[test]
-    fn network_names_round_trip() {
-        for k in NetworkKind::ALL {
-            assert_eq!(network_from_name(k.name()), Some(k));
-        }
-        assert_eq!(network_from_name("bogus"), None);
-    }
-
-    #[test]
-    fn malformed_csv_rejected() {
-        assert!(runs_from_csv("header\nnot,enough,fields").is_none());
-    }
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
-    fn campaign_env_prefers_args_over_environment() {
-        let e = CampaignEnv::from_parts(
-            &strings(&["bin", "--jobs", "4", "--no-cache"]),
-            |n| match n {
-                "MACROCHIP_JOBS" => Some("9".into()),
-                "MACROCHIP_CACHE_DIR" => Some("ci-cache".into()),
-                _ => None,
-            },
+    fn campaign_args_parse_jobs_and_no_cache() {
+        let a = CampaignArgs::parse(&strings(&["bin", "--jobs", "4", "--no-cache"]));
+        assert_eq!(
+            a,
+            CampaignArgs {
+                jobs: 4,
+                no_cache: true
+            }
         );
-        assert_eq!(e.jobs, 4);
-        assert!(e.no_cache);
-        assert_eq!(e.cache_dir, PathBuf::from("ci-cache"));
-    }
-
-    #[test]
-    fn campaign_env_falls_back_to_environment_then_defaults() {
-        let e = CampaignEnv::from_parts(&strings(&["bin"]), |n| {
-            (n == "MACROCHIP_JOBS").then(|| "9".into())
-        });
-        assert_eq!(e.jobs, 9);
-        assert!(!e.no_cache);
-        assert_eq!(e.cache_dir, PathBuf::from("results").join("cache"));
-
-        let e = CampaignEnv::from_parts(&strings(&["bin"]), |_| None);
-        assert_eq!(e.jobs, 1);
-    }
-
-    #[test]
-    fn campaign_env_honors_legacy_cache_variable() {
-        let e = CampaignEnv::from_parts(&strings(&["bin"]), |n| {
-            (n == "MACROCHIP_CACHE").then(|| "old-dir".into())
-        });
-        assert_eq!(e.cache_dir, PathBuf::from("old-dir"));
-        // The new name wins when both are set.
-        let e = CampaignEnv::from_parts(&strings(&["bin"]), |n| match n {
-            "MACROCHIP_CACHE_DIR" => Some("new-dir".into()),
-            "MACROCHIP_CACHE" => Some("old-dir".into()),
-            _ => None,
-        });
-        assert_eq!(e.cache_dir, PathBuf::from("new-dir"));
+        let a = CampaignArgs::parse(&strings(&["bin"]));
+        assert_eq!(
+            a,
+            CampaignArgs {
+                jobs: 1,
+                no_cache: false
+            }
+        );
     }
 }

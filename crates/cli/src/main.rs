@@ -13,9 +13,6 @@
 //! macrochip trace-info run.mtrc | --dir traces/ [--write-index]
 //! macrochip trace-transform --trace run.mtrc --out half.mtrc --truncate-ns 500
 //! macrochip bench     [--quick] [--out BENCH_1.json] [--against baseline.json]
-//! macrochip serve     [--addr 127.0.0.1:7447] [--workers 0] [--queue-cap 16]
-//! macrochip submit    sweep --network p2p --pattern uniform [--wait]
-//! macrochip status    [--job job-1] | result --job job-1 | cancel --job job-1
 //! macrochip cache     stats | prune [--max-bytes N] [--older-than SPAN]
 //! ```
 //!
@@ -38,7 +35,7 @@ use replay::{CaptureSink, CorpusManifest, TraceMeta};
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::BufWriter;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::rc::Rc;
 use std::time::Instant;
@@ -75,14 +72,6 @@ USAGE:
     macrochip bench     [--quick] [--trials <N>] [--out <FILE>] [--chips <M>]
                         [--against <BASELINE.json>] [--max-regression <F>]
                         [--with-tracer] [--profile] [--progress] [-q]
-    macrochip serve     [--addr <HOST:PORT>] [--workers <N>] [--queue-cap <N>]
-                        [--no-cache] [--manifest-dir <DIR>] [-q]
-    macrochip submit    <sweep|faults|coherent|replay> <CAMPAIGN FLAGS>
-                        [--wait] [--addr <HOST:PORT>] [-q] [-v]
-    macrochip status    [--job <ID>] [--addr <HOST:PORT>]
-    macrochip result    --job <ID> [--addr <HOST:PORT>]
-    macrochip cancel    --job <ID> [--addr <HOST:PORT>]
-    macrochip shutdown  [--addr <HOST:PORT>]
     macrochip cache     stats | prune [--max-bytes <N>] [--older-than <AGE>]
 
 NETWORKS:   p2p, limited, token, circuit, two-phase, two-phase-alt,
@@ -92,7 +81,7 @@ PATTERNS:   uniform, transpose, butterfly, neighbor, all-to-all, hotspot
 GEOMETRY:
     --side <N>         simulate an NxN macrochip instead of the paper's
                        8x8 (tables, sweep, sustained, coherent, mp,
-                       faults, run-all, capture, replay, bench, serve).
+                       faults, run-all, capture, replay, bench).
                        Per-site bandwidths stay at the paper's figures;
                        photonic component counts, laser power and
                        propagation delays scale with the geometry. The
@@ -110,8 +99,8 @@ GEOMETRY:
                        address the flat (M*N)x(M*N) site grid. --chips 1
                        is byte-identical to not passing the flag, cache
                        keys included. The single-chip harnesses
-                       (sustained, coherent, mp, capture, replay, serve,
-                       submit) reject the flag.
+                       (sustained, coherent, mp, capture, replay) reject
+                       the flag.
 WORKLOADS:  Radix, Barnes, Blackscholes, Densities, Forces, Swaptions,
             or a pattern name (synthetic, LS mix)
 COLLECTIVES: ring, butterfly, halo, all-to-all
@@ -164,21 +153,6 @@ HOST PERF BASELINE (bench):
     attaches a ring flight recorder during trials to measure tracer-on
     overhead.
 
-SERVING CAMPAIGNS (serve, submit, status, result, cancel, shutdown):
-    serve runs an always-on daemon on a local TCP socket speaking
-    line-delimited JSON (default 127.0.0.1:7447; override with --addr or
-    MACROCHIP_SERVE_ADDR). Jobs are sweep/faults/coherent/replay point
-    lists; points shard across workers by their content hash, the result
-    cache answers warm points before they are scheduled, and at most
-    --queue-cap unfinished jobs are accepted (beyond that, submissions
-    get a retryable 'queue full' error). Each finished or cancelled job
-    is recorded as a manifest under --manifest-dir. submit builds the
-    same points the direct subcommand would and, with --wait, streams
-    progress (host.* counter deltas) and prints the identical table.
-    cache stats / cache prune inspect and bound the shared result cache
-    (prune by --max-bytes total size and/or --older-than age: 30s, 10m,
-    2h, 7d).
-
 PARALLELISM (sweep, faults, run-all — campaign engine):
     --jobs <N>         shard independent points across N worker threads
                        (default 1 = serial; 0 = one per hardware thread).
@@ -188,6 +162,8 @@ PARALLELISM (sweep, faults, run-all — campaign engine):
                        location with MACROCHIP_CACHE_DIR). Runs that record
                        a --trace, --metrics or --stats side channel skip
                        the cache automatically.
+    cache stats / cache prune inspect and bound that cache (prune by
+    --max-bytes total size and/or --older-than age: 30s, 10m, 2h, 7d).
 
 TRACES (capture, replay — the cross-network comparison harness):
     capture records every injected packet into a compact binary .mtrc
@@ -1812,366 +1788,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `macrochip serve` — run the always-on campaign daemon.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    reject_chips(args, "serve")?;
-    let addr = flag(args, "--addr").unwrap_or_else(serve::default_addr);
-    let workers: usize = flag(args, "--workers")
-        .map(|s| s.parse().map_err(|_| format!("bad --workers {s}")))
-        .transpose()?
-        .unwrap_or(0);
-    let queue_cap: usize = flag(args, "--queue-cap")
-        .map(|s| s.parse().map_err(|_| format!("bad --queue-cap {s}")))
-        .transpose()?
-        .unwrap_or(16);
-    if queue_cap == 0 {
-        return Err("--queue-cap must be at least 1".into());
-    }
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    let quiet = args.iter().any(|a| a == "-q" || a == "--quiet");
-    let options = serve::ServeOptions {
-        workers,
-        queue_cap,
-        cache: open_cache(no_cache, false)?,
-        manifest_dir: flag(args, "--manifest-dir").map(PathBuf::from),
-        quiet,
-    };
-    let server = serve::Server::bind(&addr as &str, config_from_args(args)?, options)
-        .map_err(|e| format!("binding {addr}: {e}"))?;
-    server.run().map_err(|e| format!("serving on {addr}: {e}"))
-}
-
-/// Connects to the daemon named by `--addr` (default
-/// `$MACROCHIP_SERVE_ADDR`, then `127.0.0.1:7447`).
-fn connect(args: &[String]) -> Result<(String, serve::Client), String> {
-    let addr = flag(args, "--addr").unwrap_or_else(serve::default_addr);
-    let client = serve::Client::connect(&addr)
-        .map_err(|e| format!("connecting to {addr} (is `macrochip serve` running?): {e}"))?;
-    Ok((addr, client))
-}
-
-/// Builds the campaign points (and the stdout the direct command would
-/// print around its result table) for one `submit` subcommand. Point
-/// construction mirrors the direct subcommands exactly — same defaults,
-/// same seeds — so a served job is byte-identical to a local run.
-fn build_submission(sub: &str, args: &[String]) -> Result<(Vec<CampaignPoint>, String), String> {
-    match sub {
-        "sweep" => {
-            let kinds = names::parse_networks(&flag(args, "--network").ok_or("missing --network")?)
-                .ok_or("unknown network")?;
-            let pattern =
-                names::parse_pattern(&flag(args, "--pattern").ok_or("missing --pattern")?)
-                    .ok_or("unknown pattern")?;
-            let loads: Vec<f64> = match flag(args, "--loads") {
-                Some(s) => s
-                    .split(',')
-                    .map(|x| x.parse().map_err(|_| format!("bad load {x}")))
-                    .collect::<Result<_, _>>()?,
-                None => macrochip::sweep::figure6_loads(pattern),
-            };
-            let options = SweepOptions::default();
-            let points = kinds
-                .iter()
-                .flat_map(|&kind| {
-                    loads.iter().map(move |&offered| CampaignPoint::Sweep {
-                        kind,
-                        pattern,
-                        offered,
-                        options,
-                    })
-                })
-                .collect();
-            Ok((points, String::new()))
-        }
-        "faults" => {
-            let kinds =
-                names::parse_networks(&flag(args, "--network").unwrap_or_else(|| "all".into()))
-                    .ok_or("unknown network")?;
-            let pattern =
-                names::parse_pattern(&flag(args, "--pattern").unwrap_or_else(|| "uniform".into()))
-                    .ok_or("unknown pattern")?;
-            let load: f64 = flag(args, "--load")
-                .map(|s| s.parse().map_err(|_| "bad --load"))
-                .transpose()?
-                .unwrap_or(0.05);
-            let spec = flag(args, "--faults").unwrap_or_else(|| DEFAULT_FAULT_SPEC.into());
-            let plan = faults::FaultPlan::parse(&spec).map_err(|e| e.to_string())?;
-            let seed: u64 = flag(args, "--seed")
-                .map(|s| s.parse().map_err(|_| "bad --seed"))
-                .transpose()?
-                .unwrap_or(0xC0FFEE);
-            let (sim, drain) = if args.iter().any(|a| a == "--duration-short") {
-                (Span::from_us(1), Span::from_us(5))
-            } else {
-                (Span::from_us(5), Span::from_us(20))
-            };
-            let prefix = format!("Fault plan: {}\n\n", plan.to_spec());
-            let points = kinds
-                .iter()
-                .map(|&kind| CampaignPoint::Fault {
-                    kind,
-                    pattern,
-                    load,
-                    plan: plan.clone(),
-                    seed,
-                    sim,
-                    drain,
-                    max_stalled: 5_000,
-                })
-                .collect();
-            Ok((points, prefix))
-        }
-        "coherent" => {
-            let ops: u32 = flag(args, "--ops")
-                .map(|s| s.parse().map_err(|_| "bad --ops"))
-                .transpose()?
-                .unwrap_or(40);
-            let spec =
-                names::parse_workload(&flag(args, "--workload").ok_or("missing --workload")?, ops)
-                    .ok_or("unknown workload")?;
-            let kinds = names::parse_networks(&flag(args, "--network").ok_or("missing --network")?)
-                .ok_or("unknown network")?;
-            let prefix = format!("Workload: {}\n\n", spec.name());
-            let points = kinds
-                .iter()
-                .map(|&kind| CampaignPoint::Coherent {
-                    kind,
-                    spec: spec.clone(),
-                    seed: 0xCAFE,
-                })
-                .collect();
-            Ok((points, prefix))
-        }
-        "replay" => {
-            let trace_arg = flag(args, "--trace").ok_or("missing --trace <FILE.mtrc>")?;
-            let header = replay::validate(Path::new(&trace_arg))
-                .map_err(|e| format!("validating {trace_arg}: {e}"))?;
-            let kinds =
-                names::parse_networks(&flag(args, "--network").unwrap_or_else(|| "all".into()))
-                    .ok_or("unknown network")?;
-            let plan = flag(args, "--faults")
-                .map(|s| faults::FaultPlan::parse(&s).map_err(|e| e.to_string()))
-                .transpose()?;
-            let seed: u64 = flag(args, "--seed")
-                .map(|s| s.parse().map_err(|_| "bad --seed"))
-                .transpose()?
-                .unwrap_or(0xC0FFEE);
-            let drain = if args.iter().any(|a| a == "--duration-short") {
-                Span::from_us(5)
-            } else {
-                Span::from_us(20)
-            };
-            let prefix = format!(
-                "Trace {trace_arg}: {} packets, {} us, hash {:016x}\n\n",
-                header.packets,
-                fmt(header.last_ps as f64 / 1e6, 2),
-                header.content_hash
-            );
-            let points = kinds
-                .iter()
-                .map(|&kind| CampaignPoint::Replay {
-                    kind,
-                    trace: trace_arg.clone(),
-                    content_hash: header.content_hash,
-                    plan: plan.clone(),
-                    seed,
-                    drain,
-                    max_stalled: 5_000,
-                })
-                .collect();
-            Ok((points, prefix))
-        }
-        other => Err(format!(
-            "submit serves sweep, faults, coherent or replay campaigns, not '{other}'"
-        )),
-    }
-}
-
-/// Renders served results exactly as the matching direct subcommand
-/// would have printed them.
-fn render_results(
-    sub: &str,
-    prefix: &str,
-    points: &[CampaignPoint],
-    results: &[PointResult],
-) -> Result<(), String> {
-    if points.len() != results.len() {
-        return Err(format!(
-            "server returned {} results for {} points",
-            results.len(),
-            points.len()
-        ));
-    }
-    let table = match sub {
-        "sweep" => {
-            let mut table = report::sweep_table();
-            for (point, result) in points.iter().zip(results) {
-                let (PointResult::Sweep(p), kind) = (result, point.kind()) else {
-                    return Err("server returned a non-sweep result".into());
-                };
-                report::sweep_row(&mut table, kind, p);
-            }
-            table
-        }
-        "faults" => {
-            let mut table = report::fault_table();
-            for (point, result) in points.iter().zip(results) {
-                let (PointResult::Fault(f), kind) = (result, point.kind()) else {
-                    return Err("server returned a non-fault result".into());
-                };
-                report::fault_row(&mut table, kind, f);
-            }
-            table
-        }
-        "coherent" => {
-            let model = NetworkEnergyModel::default();
-            let mut table = report::coherent_table();
-            for result in results {
-                let PointResult::Coherent(run) = result else {
-                    return Err("server returned a non-coherent result".into());
-                };
-                report::coherent_row(&mut table, &model, run);
-            }
-            table
-        }
-        "replay" => {
-            let mut table = report::replay_table();
-            for (point, result) in points.iter().zip(results) {
-                let (PointResult::Replay(r), kind) = (result, point.kind()) else {
-                    return Err("server returned a non-replay result".into());
-                };
-                report::replay_row(&mut table, kind, r);
-            }
-            table
-        }
-        _ => unreachable!("build_submission vetted the subcommand"),
-    };
-    println!("{prefix}{}", table.to_text());
-    Ok(())
-}
-
-/// `macrochip submit` — send a campaign to the daemon; with `--wait`,
-/// stream progress and print the same table the direct command would.
-fn cmd_submit(args: &[String]) -> Result<(), String> {
-    reject_chips(args, "submit")?;
-    let sub = args
-        .get(1)
-        .filter(|a| !a.starts_with('-'))
-        .ok_or("submit needs a campaign: sweep, faults, coherent or replay")?
-        .clone();
-    let (points, prefix) = build_submission(&sub, args)?;
-    let quiet = args.iter().any(|a| a == "-q" || a == "--quiet");
-    let verbose = args.iter().any(|a| a == "-v" || a == "--verbose");
-    let (addr, mut client) = connect(args)?;
-    let submitted = client.submit(&sub, None, points.clone())?;
-    if !quiet {
-        eprintln!(
-            "[submit] {} accepted by {addr}: {} points, {} warm, state {}",
-            submitted.job, submitted.points, submitted.warm, submitted.state
-        );
-    }
-    if !args.iter().any(|a| a == "--wait") {
-        if !quiet {
-            println!("{}", submitted.job);
-        }
-        return Ok(());
-    }
-    let status = client.wait(&submitted.job, |s| {
-        if verbose {
-            eprintln!(
-                "[submit] {}: {}/{} points, {} events, {} cache hits",
-                s.job, s.done, s.total, s.counters.sim_events, s.counters.cache_hits
-            );
-        }
-    })?;
-    if status.state != "done" {
-        return Err(format!(
-            "job {} ended {} with {}/{} points done",
-            status.job, status.state, status.done, status.total
-        ));
-    }
-    let results = client.result(&submitted.job)?;
-    if quiet {
-        return Ok(());
-    }
-    render_results(&sub, &prefix, &points, &results)
-}
-
-/// `macrochip status` — one job's progress, or the server's vitals.
-fn cmd_status(args: &[String]) -> Result<(), String> {
-    let (addr, mut client) = connect(args)?;
-    match flag(args, "--job") {
-        Some(job) => {
-            let s = client.status(&job)?;
-            println!(
-                "{}: {}, {}/{} points done ({} warm), {:.0} ms, {} sim events, \
-                 {} cache hits / {} misses",
-                s.job,
-                s.state,
-                s.done,
-                s.total,
-                s.warm,
-                s.wall_ms,
-                s.counters.sim_events,
-                s.counters.cache_hits,
-                s.counters.cache_misses
-            );
-        }
-        None => {
-            let v = client.ping()?;
-            let field = |k: &str| {
-                v.get(k).map_or("?".to_string(), |f| match f {
-                    macrochip::json::Value::String(s) => s.clone(),
-                    other => format!("{other:?}"),
-                })
-            };
-            let num = |k: &str| {
-                v.get(k)
-                    .and_then(macrochip::json::Value::as_u64)
-                    .unwrap_or(0)
-            };
-            println!(
-                "{addr}: macrochip-serve v{} (protocol {}), {} workers, queue cap {}, \
-                 cache {}, {} jobs accepted ({} unfinished)",
-                field("version"),
-                num("protocol"),
-                num("workers"),
-                num("queue_cap"),
-                field("cache"),
-                num("jobs"),
-                num("unfinished")
-            );
-        }
-    }
-    Ok(())
-}
-
-/// `macrochip result` — fetch a finished job's results in the raw
-/// bit-exact cache encoding (`submit --wait` renders tables instead).
-fn cmd_result(args: &[String]) -> Result<(), String> {
-    let job = flag(args, "--job").ok_or("missing --job <ID>")?;
-    let (_, mut client) = connect(args)?;
-    for result in client.result(&job)? {
-        print!("{}", result.to_cache_bytes());
-    }
-    Ok(())
-}
-
-fn cmd_cancel(args: &[String]) -> Result<(), String> {
-    let job = flag(args, "--job").ok_or("missing --job <ID>")?;
-    let (_, mut client) = connect(args)?;
-    client.cancel(&job)?;
-    println!("{job} cancelled");
-    Ok(())
-}
-
-fn cmd_shutdown(args: &[String]) -> Result<(), String> {
-    let (addr, mut client) = connect(args)?;
-    client.shutdown()?;
-    println!("{addr} shutting down");
-    Ok(())
-}
-
 /// Parses a wall-clock age: plain seconds, or `30s`, `10m`, `2h`, `7d`.
 fn parse_age(spec: &str) -> Result<std::time::Duration, String> {
     let (digits, unit) = match spec.find(|c: char| !c.is_ascii_digit()) {
@@ -2190,7 +1806,7 @@ fn parse_age(spec: &str) -> Result<std::time::Duration, String> {
 }
 
 /// `macrochip cache` — inspect or prune the content-addressed result
-/// cache shared by the campaign engine and the serve daemon.
+/// cache shared by every campaign run.
 fn cmd_cache(args: &[String]) -> Result<(), String> {
     let dir = campaign::ResultCache::default_dir();
     let cache = campaign::ResultCache::new(dir.clone())
@@ -2253,12 +1869,6 @@ fn main() -> ExitCode {
         Some("trace-info") => cmd_trace_info(&args),
         Some("trace-transform") => cmd_trace_transform(&args),
         Some("bench") => cmd_bench(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("submit") => cmd_submit(&args),
-        Some("status") => cmd_status(&args),
-        Some("result") => cmd_result(&args),
-        Some("cancel") => cmd_cancel(&args),
-        Some("shutdown") => cmd_shutdown(&args),
         Some("cache") => cmd_cache(&args),
         Some("help") | None => {
             print!("{USAGE}");

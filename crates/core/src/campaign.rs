@@ -973,17 +973,13 @@ impl ResultCache {
         Ok(ResultCache { dir })
     }
 
-    /// The default cache root: `$MACROCHIP_CACHE_DIR`, falling back to the
-    /// legacy `$MACROCHIP_CACHE` name, then `results/cache`.
+    /// The default cache root: `$MACROCHIP_CACHE_DIR`, else
+    /// `results/cache`.
     pub fn default_dir() -> PathBuf {
-        for var in ["MACROCHIP_CACHE_DIR", "MACROCHIP_CACHE"] {
-            if let Ok(dir) = std::env::var(var) {
-                if !dir.is_empty() {
-                    return PathBuf::from(dir);
-                }
-            }
+        match std::env::var("MACROCHIP_CACHE_DIR") {
+            Ok(dir) if !dir.is_empty() => PathBuf::from(dir),
+            _ => Path::new("results").join("cache"),
         }
-        Path::new("results").join("cache")
     }
 
     /// Where the cache lives.
@@ -1413,6 +1409,11 @@ mod tests {
 
     #[test]
     fn campaign_cache_hit_skips_simulation_and_matches_miss() {
+        let coherent_spec = WorkloadSpec::Synthetic {
+            pattern: Pattern::Transpose,
+            mix: workloads::SharingMix::LessSharing,
+            ops_per_core: 5,
+        };
         let points = vec![
             CampaignPoint::Sweep {
                 kind: NetworkKind::PointToPoint,
@@ -1435,6 +1436,11 @@ mod tests {
                 drain: Span::from_us(2),
                 max_stalled: 2_000,
             },
+            CampaignPoint::Coherent {
+                kind: NetworkKind::TokenRing,
+                spec: coherent_spec.clone(),
+                seed: 7,
+            },
         ];
         let campaign = Campaign {
             jobs: 1,
@@ -1443,6 +1449,13 @@ mod tests {
         };
         let cold = campaign.run(&points);
         assert!(cold.iter().all(|o| !o.cached), "cold run must simulate");
+        // The coherent cell is the plain harness run, bit for bit.
+        let direct = run_coherent(NetworkKind::TokenRing, &coherent_spec, &config(), 7);
+        assert_eq!(cold[2].result, PointResult::Coherent(direct.clone()));
+        assert_eq!(
+            cold[2].result.to_cache_bytes(),
+            PointResult::Coherent(direct).to_cache_bytes()
+        );
         let warm = campaign.run(&points);
         assert!(warm.iter().all(|o| o.cached), "warm run must hit");
         for (a, b) in cold.iter().zip(&warm) {
@@ -1608,18 +1621,19 @@ mod tests {
     #[test]
     fn cache_dir_env_override_order() {
         // Serialized via a lock-free convention: this test is the only
-        // one touching these env vars.
+        // one touching this env var.
         std::env::remove_var("MACROCHIP_CACHE_DIR");
-        std::env::remove_var("MACROCHIP_CACHE");
         assert_eq!(
             ResultCache::default_dir(),
             Path::new("results").join("cache")
         );
-        std::env::set_var("MACROCHIP_CACHE", "legacy-dir");
-        assert_eq!(ResultCache::default_dir(), PathBuf::from("legacy-dir"));
         std::env::set_var("MACROCHIP_CACHE_DIR", "new-dir");
         assert_eq!(ResultCache::default_dir(), PathBuf::from("new-dir"));
+        std::env::set_var("MACROCHIP_CACHE_DIR", "");
+        assert_eq!(
+            ResultCache::default_dir(),
+            Path::new("results").join("cache")
+        );
         std::env::remove_var("MACROCHIP_CACHE_DIR");
-        std::env::remove_var("MACROCHIP_CACHE");
     }
 }

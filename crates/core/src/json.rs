@@ -1,6 +1,6 @@
 //! A minimal recursive-descent JSON reader shared by every hand-rolled
-//! consumer in the workspace — `BENCH_*.json` baselines ([`crate::bench`])
-//! and the `macrochip serve` line-delimited protocol.
+//! consumer in the workspace, such as the `BENCH_*.json` baselines
+//! ([`crate::bench`]).
 //!
 //! The workspace deliberately has no serde; the writer sides are
 //! hand-rolled (`netcore::metrics::{json_escape, json_f64}` plus

@@ -19,9 +19,6 @@ use std::fmt::Write as _;
 pub struct RunManifest {
     /// The subcommand that produced the results (e.g. `sweep`).
     pub command: String,
-    /// Server-assigned job identifier when the run was served by
-    /// `macrochip serve`; empty for direct CLI runs.
-    pub job_id: String,
     /// Network selection as given on the command line.
     pub network: String,
     /// Traffic pattern or workload name.
@@ -70,7 +67,6 @@ impl RunManifest {
     pub fn new(command: &str, config: &MacrochipConfig) -> RunManifest {
         RunManifest {
             command: command.to_string(),
-            job_id: String::new(),
             network: String::new(),
             pattern: String::new(),
             fault_plan: String::from("none"),
@@ -120,7 +116,6 @@ impl RunManifest {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         let _ = write!(out, "\n  \"command\": \"{}\",", json_escape(&self.command));
-        let _ = write!(out, "\n  \"job_id\": \"{}\",", json_escape(&self.job_id));
         let _ = write!(out, "\n  \"network\": \"{}\",", json_escape(&self.network));
         let _ = write!(out, "\n  \"pattern\": \"{}\",", json_escape(&self.pattern));
         let _ = write!(
@@ -189,7 +184,6 @@ mod tests {
             "\"host_events_per_sec\": 0",
             "\"host_peak_rss_bytes\": ",
             "\"command\": \"sweep\"",
-            "\"job_id\": \"\"",
             "\"network\": \"two-phase\"",
             "\"fault_plan\": \"none\"",
             "\"seed\": 12648430",

@@ -1,10 +1,9 @@
-//! Canonical short names for CLI arguments and wire protocols.
+//! Canonical short names for CLI arguments.
 //!
-//! The `macrochip` binary, the serve protocol and the tests all need the
-//! same name ↔ value mappings (`"p2p"` ↔ [`NetworkKind::PointToPoint`],
-//! `"uniform"` ↔ [`Pattern::Uniform`], …). Keeping them here means a
-//! job submitted over the wire and a flag typed on the command line are
-//! parsed by literally the same code, so the two paths cannot drift.
+//! The `macrochip` binary and the tests need the same name ↔ value
+//! mappings (`"p2p"` ↔ [`NetworkKind::PointToPoint`], `"uniform"` ↔
+//! [`Pattern::Uniform`], …). Keeping them here means every subcommand
+//! and every test parses a name with literally the same code.
 
 use crate::experiment::WorkloadSpec;
 use netcore::{MessageKind, NetworkKind};

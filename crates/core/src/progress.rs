@@ -32,46 +32,6 @@ use std::time::{Duration, Instant};
 /// Interval between progress lines.
 const TICK: Duration = Duration::from_millis(500);
 
-/// A point-in-time reading of the always-on host counters.
-///
-/// The serve subsystem takes one of these when a job starts and diffs
-/// against later snapshots to stream per-job progress events (points
-/// done, events processed, cache hits) without touching the simulation.
-/// The counters are process-global, so under concurrent jobs the deltas
-/// attribute all workers' activity to whichever jobs are in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HostCounters {
-    pub points_done: u64,
-    pub sim_events: u64,
-    pub packets: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-}
-
-impl HostCounters {
-    /// Reads the current counter values.
-    pub fn snapshot() -> HostCounters {
-        HostCounters {
-            points_done: prof::counter(Counter::PointsDone),
-            sim_events: prof::counter(Counter::SimEvents),
-            packets: prof::counter(Counter::Packets),
-            cache_hits: prof::counter(Counter::CacheHits),
-            cache_misses: prof::counter(Counter::CacheMisses),
-        }
-    }
-
-    /// Component-wise `self - base`, saturating at zero.
-    pub fn since(&self, base: &HostCounters) -> HostCounters {
-        HostCounters {
-            points_done: self.points_done.saturating_sub(base.points_done),
-            sim_events: self.sim_events.saturating_sub(base.sim_events),
-            packets: self.packets.saturating_sub(base.packets),
-            cache_hits: self.cache_hits.saturating_sub(base.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(base.cache_misses),
-        }
-    }
-}
-
 /// A background stderr progress printer; stops on drop.
 pub struct ProgressReporter {
     stop: Arc<AtomicBool>,

@@ -155,10 +155,9 @@ pub fn fmt(value: f64, digits: usize) -> String {
 
 // Shared result-table renderers.
 //
-// The direct CLI subcommands and the serve client (`macrochip submit
-// --wait`) both print campaign results; routing them through one set of
-// builders is what makes "served output is byte-identical to the direct
-// run" checkable with `cmp` rather than a judgement call.
+// Every CLI subcommand that prints campaign results builds its table
+// here, so a cached, parallel or replayed run renders exactly like a
+// serial one and the two can be compared with `cmp`.
 
 /// The `sweep` result table (header only; fill with [`sweep_row`]).
 pub fn sweep_table() -> Table {

@@ -1,10 +1,9 @@
 //! Golden values for the content-addressed cache key.
 //!
-//! [`campaign::point_key`] names every on-disk cache entry and routes
-//! points to serve-daemon shards. If its value changes for an unchanged
-//! point, every existing cache entry silently becomes unreachable and
-//! mixed-version fleets stop deduping — so the key for one fixed point
-//! per variant is pinned here.
+//! [`campaign::point_key`] names every on-disk cache entry. If its value
+//! changes for an unchanged point, every existing cache entry silently
+//! becomes unreachable — so the key for one fixed point per variant is
+//! pinned here.
 //!
 //! If a test below fails because you intentionally changed the key
 //! material (new hashed field, changed encoding), bump
@@ -84,8 +83,8 @@ fn point_keys_are_stable_across_releases() {
     let pinned: Vec<u64> = golden.iter().map(|(_, k)| *k).collect();
     assert_eq!(
         actual, pinned,
-        "point_key changed for a fixed point — cached results and serve \
-         shard routing silently diverge. If the key material changed on \
-         purpose, bump campaign::CACHE_FORMAT and repin: {actual:#018x?}"
+        "point_key changed for a fixed point — cached results silently \
+         become unreachable. If the key material changed on purpose, \
+         bump campaign::CACHE_FORMAT and repin: {actual:#018x?}"
     );
 }
