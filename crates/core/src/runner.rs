@@ -2,7 +2,7 @@
 
 use desim::prof::{self, Counter, Site};
 use desim::{Time, TraceEvent, Tracer};
-use netcore::{Network, ObservedSource, Packet, PacketSource};
+use netcore::{Network, ObservedSource, Packet, PacketRef, PacketSlab, PacketSource};
 use std::collections::VecDeque;
 
 /// Bounds on a driven run.
@@ -41,8 +41,9 @@ impl Default for DriveLimits {
 pub struct RunOutcome {
     /// Simulation time when the run stopped.
     pub end: Time,
-    /// The run hit the stalled-packet bound (the network could not absorb
-    /// the offered traffic).
+    /// The run hit the stalled-packet bound, or ended with packets still
+    /// stalled and nothing scheduled (the network could not absorb the
+    /// offered traffic).
     pub saturated: bool,
     /// The run hit the deadline with work still pending.
     pub timed_out: bool,
@@ -55,7 +56,8 @@ pub struct RunOutcome {
 /// in a stall queue (preserving per-flow order of retry attempts) and are
 /// re-offered after every event. Their latency clock keeps running from
 /// `Packet::created`, so stalling shows up in the measured latency exactly
-/// as source queueing would.
+/// as source queueing would. A run that ends with packets still stalled
+/// and nothing scheduled (a deadlock) is reported as saturated.
 ///
 /// # Example
 ///
@@ -82,14 +84,6 @@ pub fn drive(
     drive_traced(net, source, limits, Tracer::disabled())
 }
 
-/// [`drive`] with a flight-recorder handle.
-///
-/// The driver itself emits [`TraceEvent::Stall`] when the network first
-/// refuses a packet and [`TraceEvent::Retry`] when a stalled packet is
-/// finally accepted on re-offer; everything in between comes from the
-/// network's own instrumentation (the tracer is **not** forwarded to the
-/// network here — callers attach it via [`Network::set_tracer`] so the two
-/// layers can share one sink).
 /// [`drive_traced`] with a capture hook: `observer` is called for every
 /// packet the source emits, in emission order, before the network sees it.
 ///
@@ -109,6 +103,14 @@ pub fn drive_observed<F: FnMut(&Packet)>(
     drive_traced(net, &mut observed, limits, tracer)
 }
 
+/// [`drive`] with a flight-recorder handle.
+///
+/// The runner itself emits [`TraceEvent::Stall`] when the network first
+/// refuses a packet and [`TraceEvent::Retry`] when a stalled packet is
+/// finally accepted on re-offer; everything in between comes from the
+/// network's own instrumentation (the tracer is **not** forwarded to the
+/// network here — callers attach it via [`Network::set_tracer`] so the two
+/// layers can share one sink).
 pub fn drive_traced(
     net: &mut dyn Network,
     source: &mut dyn PacketSource,
@@ -137,13 +139,87 @@ pub fn drive_traced(
     outcome
 }
 
+/// Stall-queue key for a packet whose network named no admission queue.
+const NO_HINT: u32 = u32::MAX;
+
+/// Re-offers per loop iteration: a saturated run stays O(events)
+/// instead of O(events x stalls).
+const RETRIES_PER_EVENT: usize = 64;
+
+/// Packets refused under backpressure, in re-offer order.
+///
+/// Packets park in a slab and the FIFO holds `(slot, admission queue)`
+/// pairs, so rotating a refused packet to the back moves 8 bytes, not a
+/// whole [`Packet`]. The admission queue is the one
+/// [`Network::admission_queue`] named when the packet was refused; while
+/// [`Network::refuse_if_full`] reports it still full, a re-offer is
+/// counted as refused without calling [`Network::inject`].
+struct StallQueue {
+    slab: PacketSlab,
+    fifo: VecDeque<(PacketRef, u32)>,
+}
+
+impl StallQueue {
+    fn new() -> StallQueue {
+        StallQueue {
+            slab: PacketSlab::new(),
+            fifo: VecDeque::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.fifo.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.fifo.is_empty()
+    }
+
+    /// Parks a packet `net` has just refused, at the back of the queue.
+    #[cold]
+    fn park(&mut self, net: &dyn Network, packet: Packet) {
+        let queue = net.admission_queue(&packet).unwrap_or(NO_HINT);
+        self.fifo.push_back((self.slab.insert(packet), queue));
+    }
+
+    /// Re-offers up to [`RETRIES_PER_EVENT`] stalled packets, FIFO;
+    /// refused ones go to the back. Kept out of line so the batched
+    /// open-loop path, which never stalls, compiles without it.
+    #[inline(never)]
+    fn reoffer(&mut self, net: &mut dyn Network, now: Time, tracer: &Tracer) {
+        for _ in 0..self.fifo.len().min(RETRIES_PER_EVENT) {
+            let (slot, queue) = self.fifo.pop_front().expect("len checked");
+            if queue != NO_HINT && net.refuse_if_full(queue) {
+                self.fifo.push_back((slot, queue));
+                continue;
+            }
+            let p = self.slab.take(slot);
+            // The packet is moved into the network, so its trace fields
+            // are copied out beforehand — only when the flight recorder
+            // is attached.
+            let retry_fields = tracer.is_enabled().then(|| (p.id.0, p.src.index()));
+            match net.inject(p, now) {
+                Ok(()) => {
+                    if let Some((id, src)) = retry_fields {
+                        tracer.emit(now, || TraceEvent::Retry {
+                            packet: id,
+                            site: src,
+                        });
+                    }
+                }
+                Err(back) => self.park(net, back),
+            }
+        }
+    }
+}
+
 fn drive_loop(
     net: &mut dyn Network,
     source: &mut dyn PacketSource,
     limits: DriveLimits,
     tracer: Tracer,
 ) -> RunOutcome {
-    let mut stalled: VecDeque<Packet> = VecDeque::new();
+    let mut stalled = StallQueue::new();
     let mut emissions: Vec<Packet> = Vec::new();
     let mut delivered: Vec<Packet> = Vec::new();
     let mut now = Time::ZERO;
@@ -168,13 +244,12 @@ fn drive_loop(
             (Some(a), None) => a,
             (None, Some(b)) => b,
             (None, None) => {
-                // Nothing scheduled anywhere. Stalled packets with no
-                // pending network event would mean a deadlock; networks
-                // always have events while their queues are full.
-                debug_assert!(stalled.is_empty(), "stalled packets with an idle network");
+                // Nothing scheduled anywhere. Stalled packets left over
+                // mean a deadlock (no event will ever free their queues),
+                // so the network did not absorb the offered traffic.
                 return RunOutcome {
                     end: now,
-                    saturated: false,
+                    saturated: !stalled.is_empty(),
                     timed_out: false,
                 };
             }
@@ -238,28 +313,7 @@ fn drive_loop(
 
         if !stalled.is_empty() {
             let _inject = prof::span(Site::Inject);
-            // Re-offer stalled packets, FIFO, a bounded batch per event so
-            // a saturated run stays O(events) instead of O(events x
-            // stalls).
-            let retries = stalled.len().min(64);
-            for _ in 0..retries {
-                let p = stalled.pop_front().expect("len checked");
-                // Fast path: the packet is moved into the network, so its
-                // trace fields are copied out beforehand — only when the
-                // flight recorder is attached.
-                let retry_fields = tracer.is_enabled().then(|| (p.id.0, p.src.index()));
-                match net.inject(p, now) {
-                    Ok(()) => {
-                        if let Some((id, src)) = retry_fields {
-                            tracer.emit(now, || TraceEvent::Retry {
-                                packet: id,
-                                site: src,
-                            });
-                        }
-                    }
-                    Err(back) => stalled.push_back(back),
-                }
-            }
+            stalled.reoffer(net, now, &tracer);
         }
 
         // Emissions are due only when the clock reached the next emission
@@ -277,7 +331,7 @@ fn drive_loop(
                         packet: back.id.0,
                         site: back.src.index(),
                     });
-                    stalled.push_back(back);
+                    stalled.park(net, back);
                 }
             }
         }
@@ -359,6 +413,50 @@ mod tests {
             },
         );
         assert!(outcome.saturated);
+    }
+
+    #[test]
+    fn a_deadlocked_run_is_reported_as_saturated() {
+        // A network that refuses every packet and never schedules an
+        // event: the stalled packet can never drain, and the run must not
+        // end as if it were clean.
+        struct Jammed {
+            config: MacrochipConfig,
+            stats: netcore::NetStats,
+        }
+        impl Network for Jammed {
+            fn kind(&self) -> NetworkKind {
+                NetworkKind::PointToPoint
+            }
+            fn config(&self) -> &MacrochipConfig {
+                &self.config
+            }
+            fn inject(&mut self, packet: Packet, _: Time) -> Result<(), Packet> {
+                self.stats.on_reject();
+                Err(packet)
+            }
+            fn next_event(&self) -> Option<Time> {
+                None
+            }
+            fn advance(&mut self, _: Time) {}
+            fn drain_delivered(&mut self) -> Vec<Packet> {
+                Vec::new()
+            }
+            fn stats(&self) -> &netcore::NetStats {
+                &self.stats
+            }
+        }
+        let config = MacrochipConfig::scaled();
+        let mut net = Jammed {
+            config,
+            stats: netcore::NetStats::new(),
+        };
+        let mut traffic = OpenLoopTraffic::new(&config.grid, Pattern::Uniform, 0.01, 320.0, 64, 1);
+        traffic.set_horizon(Time::from_ns(20));
+        let outcome = drive(&mut net, &mut traffic, DriveLimits::default());
+        assert!(traffic.emitted() > 0);
+        assert!(outcome.saturated, "deadlock reported as a clean run");
+        assert!(!outcome.timed_out);
     }
 
     #[test]

@@ -384,6 +384,9 @@ impl ResilientNetwork {
     }
 }
 
+/// Keeps the default (no) admission-queue hint: dead-site absorption
+/// changes over time, so a refused packet may be absorbed on its next
+/// offer even while the inner queue that refused it is still full.
 impl Network for ResilientNetwork {
     fn kind(&self) -> NetworkKind {
         self.inner.kind()

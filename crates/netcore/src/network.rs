@@ -87,7 +87,9 @@ impl fmt::Display for NetworkKind {
 /// interface:
 ///
 /// 1. [`inject`](Network::inject) a packet at the current time (may refuse
-///    under backpressure — the caller retries after the next event);
+///    under backpressure — the caller retries after the next event, and
+///    may skip a retry while [`refuse_if_full`](Network::refuse_if_full)
+///    reports the refusing queue still full);
 /// 2. query [`next_event`](Network::next_event) for the earliest pending
 ///    internal event;
 /// 3. [`advance`](Network::advance) simulation up to a chosen instant;
@@ -106,8 +108,36 @@ pub trait Network {
     /// # Errors
     ///
     /// Returns the packet back if the source's injection queue is full;
-    /// the caller should retry after the next network event.
+    /// the caller should retry after the next network event. A caller
+    /// holding the refused packet may name the queue that refused it with
+    /// [`admission_queue`](Network::admission_queue) and, while
+    /// [`refuse_if_full`](Network::refuse_if_full) reports that queue
+    /// still full, count the retry as refused without calling `inject`.
     fn inject(&mut self, packet: Packet, now: Time) -> Result<(), Packet>;
+
+    /// Names the admission queue whose fullness refused `packet`, as a key
+    /// for [`refuse_if_full`](Network::refuse_if_full). The runner asks
+    /// once, right after [`inject`](Network::inject) refused `packet`. The
+    /// default `None` gives no hint, so every retry goes through `inject`.
+    fn admission_queue(&self, packet: &Packet) -> Option<u32> {
+        let _ = packet;
+        None
+    }
+
+    /// If admission queue `queue` (a key from
+    /// [`admission_queue`](Network::admission_queue)) is still full,
+    /// counts a refusal exactly as [`inject`](Network::inject) would and
+    /// returns `true`; otherwise counts nothing and returns `false`.
+    ///
+    /// The contract is soundness only: `true` must mean that `inject` of
+    /// the packet the key was taken from would, at this moment, be refused
+    /// with no side effect beyond the refusal count. `false` is always
+    /// allowed; the caller then offers the packet through `inject`. The
+    /// default always answers `false`.
+    fn refuse_if_full(&mut self, queue: u32) -> bool {
+        let _ = queue;
+        false
+    }
 
     /// The earliest pending internal event, if any.
     fn next_event(&self) -> Option<Time>;

@@ -112,6 +112,15 @@ impl NetStats {
         self.rejected.incr();
     }
 
+    /// Records a refused injection when `refused`, and returns it: the
+    /// tail of every [`Network::refuse_if_full`](crate::Network::refuse_if_full).
+    pub fn reject_if(&mut self, refused: bool) -> bool {
+        if refused {
+            self.on_reject();
+        }
+        refused
+    }
+
     /// Records a packet permanently dropped by a fault (dead destination,
     /// retry budget exhausted).
     pub fn on_drop(&mut self) {

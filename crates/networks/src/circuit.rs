@@ -259,6 +259,11 @@ impl CircuitSwitchedNetwork {
         site.index() * 4 + dir
     }
 
+    /// True when source `src`'s setup wait queue refuses new packets.
+    fn src_wait_full(&self, src: usize) -> bool {
+        self.src_wait[src].len() >= self.config.queue_capacity * 4
+    }
+
     /// Sends the circuit's setup message one hop onward from `from`.
     fn forward_setup(&mut self, circuit: u64, from: SiteId, now: Time) {
         let Some(c) = self.circuits.get(&circuit) else {
@@ -489,7 +494,7 @@ impl Network for CircuitSwitchedNetwork {
             self.stats.on_inject(now);
             return Ok(());
         }
-        if self.src_wait[packet.src.index()].len() >= self.config.queue_capacity * 4 {
+        if self.src_wait_full(packet.src.index()) {
             self.stats.on_reject();
             return Err(packet);
         }
@@ -505,6 +510,19 @@ impl Network for CircuitSwitchedNetwork {
         self.stats.on_inject(now);
         self.try_start(src, now);
         Ok(())
+    }
+
+    /// The source's circuit-setup wait queue.
+    fn admission_queue(&self, packet: &Packet) -> Option<u32> {
+        if packet.src == packet.dst {
+            return None; // loop-back never queues
+        }
+        u32::try_from(packet.src.index()).ok()
+    }
+
+    fn refuse_if_full(&mut self, queue: u32) -> bool {
+        let full = self.src_wait_full(queue as usize);
+        self.stats.reject_if(full)
     }
 
     fn next_event(&self) -> Option<Time> {

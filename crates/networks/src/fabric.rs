@@ -326,6 +326,9 @@ impl FabricNetwork {
     }
 }
 
+/// Keeps the default (no) admission-queue hint: board runs do not refuse
+/// injections at bench load, and a refusal may come from any chip's queue
+/// or a board link, so the runner simply re-offers through `inject`.
 impl Network for FabricNetwork {
     fn kind(&self) -> NetworkKind {
         self.kind

@@ -208,6 +208,17 @@ impl HierarchicalNetwork {
         src_cluster * self.rings.len() + dst_cluster
     }
 
+    /// True when cluster `cluster`'s ring queue refuses new packets.
+    fn ring_full(&self, cluster: usize) -> bool {
+        self.rings[cluster].queue.len() >= self.config.queue_capacity
+    }
+
+    /// True when bridge link `link`'s buffer is full: it refuses packets
+    /// from its bridge site and stalls the source ring's relay head.
+    fn link_full(&self, link: usize) -> bool {
+        self.link_load[link] >= self.config.queue_capacity
+    }
+
     /// Grants the ring's head transmission if the ring is idle and, for a
     /// bridge-bound packet, its egress link can buffer it (head-of-line
     /// flow control).
@@ -235,7 +246,7 @@ impl HierarchicalNetwork {
         } else {
             (self.bridge_site(dc), dst, false)
         };
-        if relay && self.link_load[self.link_index(sc, dc)] >= self.config.queue_capacity {
+        if relay && self.link_full(self.link_index(sc, dc)) {
             // Head-of-line stall: hold the grant until the bridge has
             // buffer space (LinkFree re-pumps this ring).
             return;
@@ -410,7 +421,7 @@ impl Network for HierarchicalNetwork {
         // originates in the bridge's buffers).
         if src_is_bridge && sc != dc {
             let link = self.link_index(sc, dc);
-            if self.link_load[link] >= self.config.queue_capacity {
+            if self.link_full(link) {
                 self.stats.on_reject();
                 return Err(packet);
             }
@@ -436,7 +447,7 @@ impl Network for HierarchicalNetwork {
             self.pump_link(link, now);
             return Ok(());
         }
-        if self.rings[sc].queue.len() >= self.config.queue_capacity {
+        if self.ring_full(sc) {
             self.stats.on_reject();
             return Err(packet);
         }
@@ -453,6 +464,33 @@ impl Network for HierarchicalNetwork {
         }
         self.pump_ring(sc, now);
         Ok(())
+    }
+
+    /// The source cluster's ring queue (keys `0..clusters`) or, for a
+    /// bridge source sending cross-cluster, its bridge link's buffer
+    /// (keys `clusters + link`).
+    fn admission_queue(&self, packet: &Packet) -> Option<u32> {
+        if packet.src == packet.dst {
+            return None; // loop-back never queues
+        }
+        let (sc, dc) = (self.cluster_of(packet.src), self.cluster_of(packet.dst));
+        let key = if packet.src == self.bridge_site(sc) && sc != dc {
+            self.rings.len() + self.link_index(sc, dc)
+        } else {
+            sc
+        };
+        u32::try_from(key).ok()
+    }
+
+    fn refuse_if_full(&mut self, queue: u32) -> bool {
+        let queue = queue as usize;
+        let clusters = self.rings.len();
+        let full = if queue < clusters {
+            self.ring_full(queue)
+        } else {
+            self.link_full(queue - clusters)
+        };
+        self.stats.reject_if(full)
     }
 
     fn next_event(&self) -> Option<Time> {

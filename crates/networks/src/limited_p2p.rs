@@ -85,6 +85,10 @@ pub struct LimitedP2pNetwork {
     slab: PacketSlab,
     /// Dense S×S map of killed links (same indexing as `channels`).
     dead: Vec<bool>,
+    /// Set by [`Network::apply_fault`]: a killed or repaired
+    /// link re-routes packets to another first hop, so admission-queue
+    /// hints taken before it may name the wrong queue.
+    faulted: bool,
     events: EventQueue<Ev>,
     delivered: Vec<Packet>,
     stats: NetStats,
@@ -118,6 +122,7 @@ impl LimitedP2pNetwork {
             config,
             policy,
             dead: vec![false; channels.len()],
+            faulted: false,
             channels,
             prop: crate::geom::PropByHops::new(&config.layout),
             slab: PacketSlab::new(),
@@ -380,6 +385,34 @@ impl Network for LimitedP2pNetwork {
         Ok(())
     }
 
+    /// The first-hop channel queue of the packet's current route. Under
+    /// adaptive routing a non-peer packet takes whichever first hop is
+    /// emptier when offered, so no single queue gates it and there is no
+    /// hint.
+    fn admission_queue(&self, packet: &Packet) -> Option<u32> {
+        if packet.src == packet.dst {
+            return None; // loop-back never queues
+        }
+        if self.policy == RoutingPolicy::Adaptive
+            && !self.config.grid.are_peers(packet.src, packet.dst)
+        {
+            return None;
+        }
+        let first_hop = self.route_first_hop(packet.src, packet.dst)?;
+        u32::try_from(self.channel_index(packet.src, first_hop)).ok()
+    }
+
+    /// Never claims a refusal once a fault has been applied: re-routing
+    /// can move a packet to a different first hop (or absorb it when every
+    /// route is dead), so an older hint no longer names its queue.
+    fn refuse_if_full(&mut self, queue: u32) -> bool {
+        let full = !self.faulted
+            && self.channels[queue as usize]
+                .as_ref()
+                .is_some_and(TxChannel::is_full);
+        self.stats.reject_if(full)
+    }
+
     fn next_event(&self) -> Option<Time> {
         self.events.peek_time()
     }
@@ -431,6 +464,7 @@ impl Network for LimitedP2pNetwork {
     /// them) and subsequent traffic detours through a live forwarder;
     /// laser loss halves the affected site's outgoing channel bandwidth.
     fn apply_fault(&mut self, fault: NetFault, _now: Time) -> FaultResponse {
+        self.faulted = true;
         let sites = self.config.grid.sites();
         let full = self.config.channel_bytes_per_ns(LAMBDAS_PER_CHANNEL);
         let spare = self.config.channel_bytes_per_ns(LAMBDAS_PER_CHANNEL / 2);
@@ -712,5 +746,53 @@ mod tests {
             n.inject(data(i, a, b, Time::ZERO), Time::ZERO).unwrap();
         }
         assert!(n.inject(data(99, a, b, Time::ZERO), Time::ZERO).is_err());
+    }
+
+    #[test]
+    fn admission_hint_stops_claiming_refusal_after_a_reroute() {
+        let mut n = net();
+        let g = n.config.grid;
+        // A non-peer pair: row-first routing forwards through (1, 0).
+        let (a, c) = (g.site(0, 0), g.site(1, 1));
+        let mut id = 0;
+        let refused = loop {
+            match n.inject(data(id, a, c, Time::ZERO), Time::ZERO) {
+                Ok(()) => id += 1,
+                Err(back) => break back,
+            }
+        };
+        let queue = n
+            .admission_queue(&refused)
+            .expect("a routed pair has a queue");
+        assert_eq!(queue as usize, n.channel_index(a, g.site(1, 0)));
+        assert!(n.refuse_if_full(queue));
+        assert_eq!(n.stats().rejected_packets(), 2);
+        // Killing the forwarder's second leg re-routes through (0, 1),
+        // whose first hop is empty: the old hint must not claim refusal.
+        n.apply_fault(
+            NetFault::LinkKill {
+                src: g.site(1, 0),
+                dst: c,
+            },
+            Time::ZERO,
+        );
+        assert!(!n.refuse_if_full(queue));
+        assert_eq!(n.stats().rejected_packets(), 2);
+        assert!(n.inject(refused, Time::ZERO).is_ok());
+    }
+
+    #[test]
+    fn adaptive_routing_gives_no_hint_for_forwarded_pairs() {
+        let n = LimitedP2pNetwork::with_policy(MacrochipConfig::scaled(), RoutingPolicy::Adaptive);
+        let g = n.config.grid;
+        let (a, b, c) = (g.site(0, 0), g.site(1, 0), g.site(1, 1));
+        // Either first hop may take a forwarded packet, so none gates it.
+        assert_eq!(n.admission_queue(&data(0, a, c, Time::ZERO)), None);
+        // A peer pair always takes its direct channel.
+        let peer = data(1, a, b, Time::ZERO);
+        assert_eq!(
+            n.admission_queue(&peer),
+            u32::try_from(n.channel_index(a, b)).ok()
+        );
     }
 }

@@ -174,6 +174,19 @@ impl Network for P2pNetwork {
         Ok(())
     }
 
+    /// The packet's dedicated `src -> dst` channel queue.
+    fn admission_queue(&self, packet: &Packet) -> Option<u32> {
+        if packet.src == packet.dst {
+            return None; // loop-back never queues
+        }
+        u32::try_from(self.channel_index(packet)).ok()
+    }
+
+    fn refuse_if_full(&mut self, queue: u32) -> bool {
+        let full = self.channels[queue as usize].is_full();
+        self.stats.reject_if(full)
+    }
+
     fn next_event(&self) -> Option<Time> {
         self.events.peek_time()
     }

@@ -157,6 +157,11 @@ impl TokenRingNetwork {
         src * self.config.grid.sites() + dst
     }
 
+    /// True when source queue `q` refuses new packets.
+    fn queue_full(&self, q: usize) -> bool {
+        self.queues[q].len() >= self.config.queue_capacity
+    }
+
     /// First instant at or after `now` when the free token for `dst`
     /// reaches ring position `target`.
     fn token_arrival(&self, dst: usize, target: usize, now: Time) -> Time {
@@ -343,7 +348,7 @@ impl Network for TokenRingNetwork {
         }
         let dst = packet.dst.index();
         let q = self.queue_index(packet.src.index(), dst);
-        if self.queues[q].len() >= self.config.queue_capacity {
+        if self.queue_full(q) {
             self.stats.on_reject();
             return Err(packet);
         }
@@ -364,6 +369,19 @@ impl Network for TokenRingNetwork {
         self.stats.on_inject(now);
         self.claim_token(dst, pos, now);
         Ok(())
+    }
+
+    /// The source's queue for the packet's destination.
+    fn admission_queue(&self, packet: &Packet) -> Option<u32> {
+        if packet.src == packet.dst {
+            return None; // loop-back never queues
+        }
+        u32::try_from(self.queue_index(packet.src.index(), packet.dst.index())).ok()
+    }
+
+    fn refuse_if_full(&mut self, queue: u32) -> bool {
+        let full = self.queue_full(queue as usize);
+        self.stats.reject_if(full)
     }
 
     fn next_event(&self) -> Option<Time> {

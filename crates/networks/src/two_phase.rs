@@ -133,6 +133,10 @@ pub struct TwoPhaseNetwork {
     masked_tx: Vec<bool>,
     /// Killed shared (row → destination) channels.
     masked_channels: Vec<bool>,
+    /// Set by [`Network::apply_fault`]: a masked requestor,
+    /// channel or sink absorbs packets instead of refusing them, so
+    /// admission-queue hints taken before it no longer imply refusal.
+    faulted: bool,
     /// Shared-channel bandwidth, precomputed.
     bw: f64,
     /// Row-then-column propagation delays by hop count, precomputed.
@@ -191,6 +195,7 @@ impl TwoPhaseNetwork {
             masked_sites: vec![false; sites],
             masked_tx: vec![false; sites],
             masked_channels: vec![false; side * sites],
+            faulted: false,
             bw,
             prop: crate::geom::PropByHops::new(&config.layout),
             dur_memo: std::cell::Cell::new((64, Self::slotted_duration_raw(bw, 64))),
@@ -210,6 +215,12 @@ impl TwoPhaseNetwork {
 
     fn channel_index(&self, src: SiteId, dst: SiteId) -> usize {
         self.config.grid.y(src) * self.config.grid.sites() + dst.index()
+    }
+
+    /// True when column `col`'s request queue on shared channel `channel`
+    /// refuses new packets.
+    fn request_queue_full(&self, channel: usize, col: usize) -> bool {
+        self.channels[channel].queues[col].len() >= self.config.queue_capacity
     }
 
     fn tree_index(&self, site: SiteId, dst: SiteId) -> usize {
@@ -474,7 +485,7 @@ impl Network for TwoPhaseNetwork {
             });
             return Ok(());
         }
-        if self.channels[channel].queues[src_col].len() >= self.config.queue_capacity {
+        if self.request_queue_full(channel, src_col) {
             self.stats.on_reject();
             return Err(packet);
         }
@@ -502,6 +513,26 @@ impl Network for TwoPhaseNetwork {
         self.stats.on_inject(now);
         self.schedule_slot(channel, eligible_at);
         Ok(())
+    }
+
+    /// The source column's request queue on the packet's shared channel,
+    /// keyed `channel * side + column`.
+    fn admission_queue(&self, packet: &Packet) -> Option<u32> {
+        if packet.src == packet.dst {
+            return None; // loop-back never queues
+        }
+        let channel = self.channel_index(packet.src, packet.dst);
+        let key = channel * self.config.grid.side() + self.config.grid.x(packet.src);
+        u32::try_from(key).ok()
+    }
+
+    /// Never claims a refusal once a fault has been applied: masking
+    /// turns a refusal into an absorbed drop.
+    fn refuse_if_full(&mut self, queue: u32) -> bool {
+        let side = self.config.grid.side();
+        let (channel, col) = (queue as usize / side, queue as usize % side);
+        let full = !self.faulted && self.request_queue_full(channel, col);
+        self.stats.reject_if(full)
     }
 
     fn next_event(&self) -> Option<Time> {
@@ -554,6 +585,7 @@ impl Network for TwoPhaseNetwork {
     /// round-robin domain and its queued packets are evicted for the
     /// wrapper to triage; a killed shared channel is masked the same way.
     fn apply_fault(&mut self, fault: NetFault, _now: Time) -> FaultResponse {
+        self.faulted = true;
         let sites = self.config.grid.sites();
         let g = self.config.grid;
         match fault {
@@ -763,6 +795,30 @@ mod tests {
             n.inject(data(i, a, b, Time::ZERO), Time::ZERO).unwrap();
         }
         assert!(n.inject(data(99, a, b, Time::ZERO), Time::ZERO).is_err());
+    }
+
+    #[test]
+    fn admission_hint_is_exact_until_a_fault() {
+        let mut n = net();
+        let g = n.config.grid;
+        let (a, b) = (g.site(0, 0), g.site(1, 1));
+        for i in 0..n.config.queue_capacity as u64 {
+            n.inject(data(i, a, b, Time::ZERO), Time::ZERO).unwrap();
+        }
+        let refused = n
+            .inject(data(99, a, b, Time::ZERO), Time::ZERO)
+            .unwrap_err();
+        let queue = n
+            .admission_queue(&refused)
+            .expect("a queued pair has a queue");
+        assert!(n.refuse_if_full(queue));
+        assert_eq!(n.stats().rejected_packets(), 2);
+        // Any fault may mask the packet's requestor, channel or sink, so
+        // the hint stops claiming refusal even though this queue is full.
+        n.apply_fault(NetFault::LaserLoss { site: g.site(5, 5) }, Time::ZERO);
+        assert!(!n.refuse_if_full(queue));
+        assert_eq!(n.stats().rejected_packets(), 2);
+        assert!(n.inject(refused, Time::ZERO).is_err());
     }
 
     #[test]

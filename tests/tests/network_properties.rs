@@ -2,7 +2,8 @@
 //! network architecture under arbitrary admissible traffic.
 
 use desim::Time;
-use netcore::{MacrochipConfig, MessageKind, NetworkKind, Packet, PacketId};
+use netcore::{MacrochipConfig, MessageKind, NetFault, Network, NetworkKind, Packet, PacketId};
+use networks::{LimitedP2pNetwork, RoutingPolicy};
 use proptest::prelude::*;
 
 /// A randomly generated injection: (source, destination, offset in ns).
@@ -123,6 +124,99 @@ proptest! {
                     p.dst
                 );
                 prop_assert!(lat >= desim::Span::from_ps(200), "{} serialization", kind);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The admission-queue hint is sound on every architecture: whenever
+    /// `refuse_if_full(admission_queue(p))` claims refusal, it counts
+    /// exactly one refusal and nothing else, and a real `inject(p)` at
+    /// that moment is refused too. Keys are taken when a packet is refused
+    /// and kept while it stays refused, as the runner does, so faults
+    /// between offers (a killed column link re-routes limited p2p, a
+    /// killed site or laser masks two-phase) test stale keys.
+    /// Single-packet queues, bursts of up to three packets and a 4x2
+    /// block of sites make queues fill often.
+    #[test]
+    fn admission_hint_only_claims_real_refusals(
+        steps in proptest::collection::vec(
+            (0usize..8, 0usize..8, 0u64..10, 0usize..60, 1u64..4),
+            1..120,
+        ),
+    ) {
+        let config = MacrochipConfig {
+            queue_capacity: 1,
+            ..MacrochipConfig::scaled()
+        };
+        let site = |i: usize| config.grid.site(i % 4, i / 4);
+        let mut steps = steps;
+        steps.sort_by_key(|&(_, _, at, _, _)| at);
+        let mut nets: Vec<(String, Box<dyn Network>)> = NetworkKind::ALL
+            .into_iter()
+            .map(|kind| (kind.to_string(), networks::build(kind, config)))
+            .collect();
+        // Adaptive routing picks the first hop by queue occupancy.
+        nets.push((
+            "limited-adaptive".to_string(),
+            Box::new(LimitedP2pNetwork::with_policy(config, RoutingPolicy::Adaptive)),
+        ));
+        for (kind, mut net) in nets {
+            let mut stalled: Vec<(Packet, Option<u32>)> = Vec::new();
+            for (i, &(s, d, at_ns, fault, burst)) in steps.iter().enumerate() {
+                let at = Time::from_ns(at_ns);
+                net.advance(at);
+                // One step in five applies a fault first.
+                let fault = match fault {
+                    0..=3 => Some(NetFault::LinkKill {
+                        src: site(fault),
+                        dst: site(fault + 4),
+                    }),
+                    4..=7 => Some(NetFault::LinkKill {
+                        src: site(fault),
+                        dst: site(fault - 4),
+                    }),
+                    8..=9 => Some(NetFault::SiteKill {
+                        site: site(fault - 8),
+                    }),
+                    10..=11 => Some(NetFault::LaserLoss {
+                        site: site(fault - 4),
+                    }),
+                    _ => None,
+                };
+                if let Some(fault) = fault {
+                    let _ = net.apply_fault(fault, at);
+                }
+                let mut offers = std::mem::take(&mut stalled);
+                for k in 0..burst {
+                    let id = PacketId(i as u64 * 4 + k);
+                    let fresh = Packet::new(id, site(s), site(d), 64, MessageKind::Data, at);
+                    offers.push((fresh, net.admission_queue(&fresh)));
+                }
+                for (p, key) in offers {
+                    if let Some(queue) = key {
+                        let (rejected, injected) =
+                            (net.stats().rejected_packets(), net.stats().injected_packets());
+                        let claimed = net.refuse_if_full(queue);
+                        let counted = u64::from(claimed);
+                        prop_assert_eq!(net.stats().rejected_packets(), rejected + counted, "{}", kind);
+                        prop_assert_eq!(net.stats().injected_packets(), injected, "{}", kind);
+                        if claimed {
+                            prop_assert!(
+                                net.inject(p, at).is_err(),
+                                "{kind}: hint claimed refusal of admissible packet {}", p.id.0
+                            );
+                            stalled.push((p, key));
+                            continue;
+                        }
+                    }
+                    if let Err(back) = net.inject(p, at) {
+                        stalled.push((back, net.admission_queue(&back)));
+                    }
+                }
             }
         }
     }
