@@ -189,19 +189,38 @@ mod tests {
         }
     }
 
+    /// The five Figure-6 networks on the scaled macrochip at 2 % load,
+    /// plus the hierarchical network at both geometries its topology
+    /// reshapes across (8×8 and 16×16), at 0.5 % — under its ~0.8 %
+    /// uniform-random sustained bandwidth.
     #[test]
-    fn all_five_networks_audit_clean_at_low_load() {
-        for kind in NetworkKind::FIGURE6 {
+    fn all_networks_audit_clean_at_low_load() {
+        let hierarchical = [8, 16].map(|side| {
+            (
+                NetworkKind::Hierarchical,
+                MacrochipConfig::with_side(side),
+                0.005,
+            )
+        });
+        let runs = NetworkKind::FIGURE6
+            .map(|kind| (kind, config(), 0.02))
+            .into_iter()
+            .chain(hierarchical);
+        for (kind, config, load) in runs {
+            let side = config.grid.side();
             let (point, report) =
-                run_load_point_audited(kind, Pattern::Uniform, 0.02, &config(), fast_options());
-            assert!(!point.saturated, "{kind} saturated at 2% load");
+                run_load_point_audited(kind, Pattern::Uniform, load, &config, fast_options());
+            assert!(!point.saturated, "{kind} {side}x{side} saturated at {load}");
             assert!(
                 report.is_clean(),
-                "{kind} violations: {:?}",
+                "{kind} {side}x{side} violations: {:?}",
                 report.violation_lines()
             );
-            assert!(report.conservation_holds(), "{kind}");
-            assert!(report.packets_tracked > 0, "{kind} audited nothing");
+            assert!(report.conservation_holds(), "{kind} {side}x{side}");
+            assert!(
+                report.packets_tracked > 0,
+                "{kind} {side}x{side} audited nothing"
+            );
         }
     }
 

@@ -7,10 +7,8 @@
 //!   durations with checked, unit-safe arithmetic;
 //! * [`EventQueue`] — a priority queue with FIFO tie-breaking, so
 //!   same-timestamp events pop in insertion order and simulations are fully
-//!   deterministic. The default backend is a calendar/bucket queue tuned to
-//!   the picosecond tick; a reference `BinaryHeap` backend (selected via
-//!   [`Backend`] or `DESIM_EVENT_QUEUE=heap`) produces bit-identical pop
-//!   sequences and anchors the kernel-equivalence test harness;
+//!   deterministic. It is a calendar/bucket queue tuned to the picosecond
+//!   tick, property-tested pop for pop against a `BinaryHeap` oracle;
 //! * [`SimRng`] — a seeded random-number wrapper so every run is
 //!   reproducible;
 //! * [`stats`] — counters, running means, log-scale latency histograms and
@@ -41,7 +39,7 @@ pub mod stats;
 mod time;
 pub mod trace;
 
-pub use queue::{current_backend, set_thread_backend, Backend, EventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{Span, Time};
 pub use trace::{TraceEvent, TraceSink, Tracer};

@@ -1,55 +1,12 @@
-//! A deterministic event queue with two interchangeable backends.
-//!
-//! The default backend is a **calendar (bucket) queue** tuned to the
-//! picosecond tick: power-of-two bucket widths, a fixed power-of-two
+//! The deterministic event queue: a **calendar (bucket) queue** tuned to
+//! the picosecond tick — power-of-two bucket widths, a fixed power-of-two
 //! bucket count, and a lazy overflow list for events beyond the current
-//! "year" (bucket span). The original `BinaryHeap` backend is kept as a
-//! reference implementation; both produce bit-identical pop sequences —
-//! events pop in `(time, insertion-sequence)` order — so a simulation's
-//! results never depend on the backend. Select with
-//! [`Backend`]/[`set_thread_backend`] or the `DESIM_EVENT_QUEUE`
-//! environment variable (`calendar` | `heap`).
+//! "year" (bucket span). Events pop in `(time, insertion-sequence)` order,
+//! the order a `BinaryHeap` keyed on `Reverse((time, seq))` would give;
+//! `tests/calendar_queue_props.rs` checks exactly that against a heap
+//! oracle under random push/pop interleavings.
 
 use crate::Time;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// Which data structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Calendar/bucket queue (default): O(1) amortized push/pop for the
-    /// clustered timestamps discrete-event simulations produce.
-    Calendar,
-    /// Binary heap: the reference implementation, O(log n) per operation.
-    Heap,
-}
-
-fn env_backend() -> Backend {
-    static FROM_ENV: std::sync::OnceLock<Backend> = std::sync::OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var("DESIM_EVENT_QUEUE").as_deref() {
-        Ok("heap") => Backend::Heap,
-        Ok("calendar") | Ok(_) | Err(_) => Backend::Calendar,
-    })
-}
-
-thread_local! {
-    static THREAD_BACKEND: std::cell::Cell<Option<Backend>> = const { std::cell::Cell::new(None) };
-}
-
-/// Overrides the backend used by [`EventQueue::new`] on this thread
-/// (`None` restores the process default). The differential
-/// kernel-equivalence harness uses this to run heap-reference and
-/// calendar simulations side by side in one process.
-pub fn set_thread_backend(backend: Option<Backend>) {
-    THREAD_BACKEND.with(|b| b.set(backend));
-}
-
-/// The backend [`EventQueue::new`] will pick on this thread: the
-/// [`set_thread_backend`] override if set, else `DESIM_EVENT_QUEUE`, else
-/// [`Backend::Calendar`].
-pub fn current_backend() -> Backend {
-    THREAD_BACKEND.with(|b| b.get()).unwrap_or_else(env_backend)
-}
 
 /// A future event: timestamp, insertion sequence number, payload.
 struct Entry<E> {
@@ -57,31 +14,6 @@ struct Entry<E> {
     seq: u64,
     event: E,
 }
-
-// `BinaryHeap` is a max-heap; reverse the ordering so the earliest (and,
-// among equals, the first-inserted) entry is popped first.
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
 
 /// log2 of the bucket width in picoseconds. Pops pay an O(bucket-length)
 /// min scan, so the width is sized for the *densest* simulated workload:
@@ -346,18 +278,11 @@ impl<E> Calendar<E> {
     }
 }
 
-enum Inner<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Calendar(Box<Calendar<E>>),
-}
-
 /// A time-ordered priority queue of simulation events.
 ///
 /// Events with equal timestamps pop in insertion (FIFO) order, which makes
-/// every simulation built on this queue deterministic for a given seed.
-/// The determinism contract is backend-independent: whether backed by the
-/// calendar queue or the reference binary heap, pops come out in
-/// `(time, insertion-sequence)` order, bit-identically.
+/// every simulation built on this queue deterministic for a given seed:
+/// pops come out in `(time, insertion-sequence)` order.
 ///
 /// # Example
 ///
@@ -369,44 +294,26 @@ enum Inner<E> {
 /// q.push(Time::from_ns(1), 'a');
 /// q.push(Time::from_ns(2), 'c');
 /// assert_eq!(q.pop(), Some((Time::from_ns(1), 'a')));
-/// // Equal timestamps pop in insertion order, on either backend.
+/// // Equal timestamps pop in insertion order.
 /// assert_eq!(q.pop(), Some((Time::from_ns(2), 'b')));
 /// assert_eq!(q.pop(), Some((Time::from_ns(2), 'c')));
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    inner: Inner<E>,
+    calendar: Box<Calendar<E>>,
     next_seq: u64,
     popped: u64,
     last_popped: Option<Time>,
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the thread's current backend (see
-    /// [`current_backend`]).
+    /// Creates an empty queue.
     pub fn new() -> EventQueue<E> {
-        EventQueue::with_backend(current_backend())
-    }
-
-    /// Creates an empty queue on an explicit backend.
-    pub fn with_backend(backend: Backend) -> EventQueue<E> {
-        let inner = match backend {
-            Backend::Heap => Inner::Heap(BinaryHeap::new()),
-            Backend::Calendar => Inner::Calendar(Box::new(Calendar::new())),
-        };
         EventQueue {
-            inner,
+            calendar: Box::new(Calendar::new()),
             next_seq: 0,
             popped: 0,
             last_popped: None,
-        }
-    }
-
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> Backend {
-        match self.inner {
-            Inner::Heap(_) => Backend::Heap,
-            Inner::Calendar(_) => Backend::Calendar,
         }
     }
 
@@ -414,19 +321,13 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: Time, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.inner {
-            Inner::Heap(h) => h.push(Entry { time, seq, event }),
-            Inner::Calendar(c) => c.push(time, seq, event),
-        }
+        self.calendar.push(time, seq, event);
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         let _span = crate::prof::span(crate::prof::Site::QueuePop);
-        let popped = match &mut self.inner {
-            Inner::Heap(h) => h.pop().map(|e| (e.time, e.event)),
-            Inner::Calendar(c) => c.pop(),
-        };
+        let popped = self.calendar.pop();
         if let Some((t, _)) = &popped {
             self.popped += 1;
             self.last_popped = Some(*t);
@@ -436,28 +337,18 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        match &self.inner {
-            Inner::Heap(h) => h.peek().map(|e| e.time),
-            Inner::Calendar(c) => c.peek_time(),
-        }
+        self.calendar.peek_time()
     }
 
     /// Removes and returns the earliest event only if it is due at or
     /// before `now`.
     pub fn pop_due(&mut self, now: Time) -> Option<(Time, E)> {
-        // On the calendar backend, locate-and-memoize the minimum once so
-        // the peek and the (likely) pop share a single scan.
-        if let Inner::Calendar(c) = &mut self.inner {
-            if c.len() == 0 || c.ensure_min().time > now {
-                return None;
-            }
-            return self.pop();
+        // Locate-and-memoize the minimum once so the peek and the (likely)
+        // pop share a single scan.
+        if self.calendar.len() == 0 || self.calendar.ensure_min().time > now {
+            return None;
         }
-        if self.peek_time()? <= now {
-            self.pop()
-        } else {
-            None
-        }
+        self.pop()
     }
 
     /// Events popped over the queue's lifetime — the deterministic
@@ -477,10 +368,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Heap(h) => h.len(),
-            Inner::Calendar(c) => c.len(),
-        }
+        self.calendar.len()
     }
 
     /// True when no events are pending.
@@ -490,10 +378,7 @@ impl<E> EventQueue<E> {
 
     /// Discards all pending events.
     pub fn clear(&mut self) {
-        match &mut self.inner {
-            Inner::Heap(h) => h.clear(),
-            Inner::Calendar(c) => c.clear(),
-        }
+        self.calendar.clear();
     }
 }
 
@@ -506,7 +391,6 @@ impl<E> Default for EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("backend", &self.backend())
             .field("len", &self.len())
             .field("next_time", &self.peek_time())
             .finish()
@@ -517,120 +401,102 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 mod tests {
     use super::*;
 
-    fn backends() -> [Backend; 2] {
-        [Backend::Calendar, Backend::Heap]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            for &t in &[5u64, 1, 9, 3] {
-                q.push(Time::from_ns(t), t);
-            }
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 3, 5, 9], "{backend:?}");
+        let mut q = EventQueue::new();
+        for &t in &[5u64, 1, 9, 3] {
+            q.push(Time::from_ns(t), t);
         }
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 3, 5, 9]);
     }
 
     #[test]
     fn equal_timestamps_pop_fifo() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..100 {
-                q.push(Time::from_ns(7), i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{backend:?}");
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(Time::from_ns(7), i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn pop_due_respects_now() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(Time::from_ns(10), "later");
-            q.push(Time::from_ns(2), "soon");
-            assert_eq!(
-                q.pop_due(Time::from_ns(5)),
-                Some((Time::from_ns(2), "soon"))
-            );
-            assert_eq!(q.pop_due(Time::from_ns(5)), None);
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::new();
+        q.push(Time::from_ns(10), "later");
+        q.push(Time::from_ns(2), "soon");
+        assert_eq!(
+            q.pop_due(Time::from_ns(5)),
+            Some((Time::from_ns(2), "soon"))
+        );
+        assert_eq!(q.pop_due(Time::from_ns(5)), None);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn peek_time_sees_earliest() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            assert_eq!(q.peek_time(), None);
-            q.push(Time::from_ns(4), ());
-            q.push(Time::from_ns(2), ());
-            assert_eq!(q.peek_time(), Some(Time::from_ns(2)));
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push(Time::from_ns(4), ());
+        q.push(Time::from_ns(2), ());
+        assert_eq!(q.peek_time(), Some(Time::from_ns(2)));
     }
 
     #[test]
     fn clear_empties_queue() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(Time::ZERO, 'z');
-            q.clear();
-            assert!(q.is_empty());
-            // A cleared calendar keeps working.
-            q.push(Time::from_us(3), 'x');
-            q.push(Time::from_ns(1), 'y');
-            assert_eq!(q.pop(), Some((Time::from_ns(1), 'y')));
-            assert_eq!(q.pop(), Some((Time::from_us(3), 'x')));
-        }
+        let mut q = EventQueue::new();
+        q.push(Time::ZERO, 'z');
+        q.clear();
+        assert!(q.is_empty());
+        // A cleared calendar keeps working.
+        q.push(Time::from_us(3), 'x');
+        q.push(Time::from_ns(1), 'y');
+        assert_eq!(q.pop(), Some((Time::from_ns(1), 'y')));
+        assert_eq!(q.pop(), Some((Time::from_us(3), 'x')));
     }
 
     #[test]
     fn popped_counts_successful_pops_only() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            assert_eq!(q.popped(), 0);
-            q.push(Time::from_ns(1), ());
-            q.push(Time::from_ns(2), ());
-            q.pop();
-            assert_eq!(q.popped(), 1);
-            assert_eq!(q.pop_due(Time::ZERO), None, "not due yet");
-            assert_eq!(q.popped(), 1, "a refused pop_due must not count");
-            q.pop();
-            q.pop();
-            assert_eq!(q.popped(), 2, "popping empty must not count");
-            q.push(Time::ZERO, ());
-            q.clear();
-            assert_eq!(q.popped(), 2, "clear discards without counting");
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.popped(), 0);
+        q.push(Time::from_ns(1), ());
+        q.push(Time::from_ns(2), ());
+        q.pop();
+        assert_eq!(q.popped(), 1);
+        assert_eq!(q.pop_due(Time::ZERO), None, "not due yet");
+        assert_eq!(q.popped(), 1, "a refused pop_due must not count");
+        q.pop();
+        q.pop();
+        assert_eq!(q.popped(), 2, "popping empty must not count");
+        q.push(Time::ZERO, ());
+        q.clear();
+        assert_eq!(q.popped(), 2, "clear discards without counting");
     }
 
     #[test]
     fn last_popped_tracks_the_latest_pop() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            assert_eq!(q.last_popped(), None);
-            q.push(Time::from_ns(3), ());
-            q.push(Time::from_ns(8), ());
-            q.pop();
-            assert_eq!(q.last_popped(), Some(Time::from_ns(3)));
-            q.pop();
-            assert_eq!(q.last_popped(), Some(Time::from_ns(8)));
-            q.pop();
-            assert_eq!(
-                q.last_popped(),
-                Some(Time::from_ns(8)),
-                "empty pop keeps it"
-            );
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.last_popped(), None);
+        q.push(Time::from_ns(3), ());
+        q.push(Time::from_ns(8), ());
+        q.pop();
+        assert_eq!(q.last_popped(), Some(Time::from_ns(3)));
+        q.pop();
+        assert_eq!(q.last_popped(), Some(Time::from_ns(8)));
+        q.pop();
+        assert_eq!(
+            q.last_popped(),
+            Some(Time::from_ns(8)),
+            "empty pop keeps it"
+        );
     }
 
     #[test]
     fn calendar_crosses_years_and_overflow() {
         // Events far beyond one calendar year land in the overflow list
         // and redistribute on demand, interleaved with near events.
-        let mut q = EventQueue::with_backend(Backend::Calendar);
+        let mut q = EventQueue::new();
         let times: Vec<u64> = vec![3, 1_500, 1_048_576, 5_000_000, 1_048_577, 40];
         for &t in &times {
             q.push(Time::from_ps(t), t);
@@ -644,8 +510,8 @@ mod tests {
     #[test]
     fn calendar_handles_past_pushes() {
         // Pushing earlier than everything already popped-around must
-        // still pop in global order (the heap model allows it).
-        let mut q = EventQueue::with_backend(Backend::Calendar);
+        // still pop in global order (the queue contract allows it).
+        let mut q = EventQueue::new();
         q.push(Time::from_us(10), "far");
         assert_eq!(q.peek_time(), Some(Time::from_us(10)));
         q.push(Time::from_ns(1), "near");
@@ -653,15 +519,5 @@ mod tests {
         q.push(Time::from_ps(1), "nearer");
         assert_eq!(q.pop(), Some((Time::from_ps(1), "nearer")));
         assert_eq!(q.pop(), Some((Time::from_us(10), "far")));
-    }
-
-    #[test]
-    fn backend_selection_is_thread_overridable() {
-        set_thread_backend(Some(Backend::Heap));
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), Backend::Heap);
-        set_thread_backend(None);
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), current_backend());
     }
 }

@@ -1,10 +1,74 @@
-//! Property tests proving the calendar queue equivalent to the reference
-//! `BinaryHeap` backend, pop for pop, under arbitrary push/pop
+//! Property tests proving the calendar [`EventQueue`] equivalent to a
+//! reference `BinaryHeap` queue, pop for pop, under arbitrary push/pop
 //! interleavings — including FIFO order among equal timestamps and the
 //! `popped()`/`len()` counters.
 
-use desim::{Backend, EventQueue, Time};
+use desim::{EventQueue, Time};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The test oracle: the obviously-correct queue the calendar must match.
+/// A min-heap on `(time, insertion sequence, payload)`; the sequence
+/// number is unique, so the payload never decides the order and equal
+/// timestamps pop FIFO.
+struct HeapQueue<E> {
+    heap: BinaryHeap<Reverse<(Time, u64, E)>>,
+    next_seq: u64,
+    popped: u64,
+    last_popped: Option<Time>,
+}
+
+impl<E: Ord> HeapQueue<E> {
+    fn new() -> HeapQueue<E> {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            popped: 0,
+            last_popped: None,
+        }
+    }
+
+    fn push(&mut self, time: Time, event: E) {
+        self.heap.push(Reverse((time, self.next_seq, event)));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(Time, E)> {
+        let Reverse((time, _, event)) = self.heap.pop()?;
+        self.popped += 1;
+        self.last_popped = Some(time);
+        Some((time, event))
+    }
+
+    fn pop_due(&mut self, now: Time) -> Option<(Time, E)> {
+        if self.peek_time()? <= now {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
+    fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|Reverse((time, _, _))| *time)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    fn popped(&self) -> u64 {
+        self.popped
+    }
+
+    fn last_popped(&self) -> Option<Time> {
+        self.last_popped
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -109,8 +173,8 @@ fn year_boundary_ops() -> impl Strategy<Value = (u64, Vec<YearOp>)> {
 /// doing so across the deterministic tail below, which forces at
 /// least three more year boundaries with overflow still populated.
 fn run_year_differential(start: u64, ops: &[YearOp]) {
-    let mut calendar: EventQueue<u32> = EventQueue::with_backend(Backend::Calendar);
-    let mut heap: EventQueue<u32> = EventQueue::with_backend(Backend::Heap);
+    let mut calendar: EventQueue<u32> = EventQueue::new();
+    let mut heap: HeapQueue<u32> = HeapQueue::new();
     let mut now = start;
     let mut payload = 0u32;
     for (step, op) in ops.iter().enumerate() {
@@ -186,8 +250,8 @@ fn run_year_differential(start: u64, ops: &[YearOp]) {
 }
 
 fn run_differential(ops: &[Op]) {
-    let mut calendar: EventQueue<u32> = EventQueue::with_backend(Backend::Calendar);
-    let mut heap: EventQueue<u32> = EventQueue::with_backend(Backend::Heap);
+    let mut calendar: EventQueue<u32> = EventQueue::new();
+    let mut heap: HeapQueue<u32> = HeapQueue::new();
     let mut payload = 0u32;
     for (step, op) in ops.iter().enumerate() {
         match op {
@@ -268,7 +332,7 @@ proptest! {
     /// how many distinct timestamps interleave between them.
     #[test]
     fn fifo_among_equal_times(times in proptest::collection::vec(0u64..64, 1..200)) {
-        let mut q: EventQueue<usize> = EventQueue::with_backend(Backend::Calendar);
+        let mut q: EventQueue<usize> = EventQueue::new();
         // Map each op into one of 64 shared timestamps so collisions are dense.
         for (i, t) in times.iter().enumerate() {
             q.push(Time::from_ps(*t * 4_096), i);

@@ -1466,8 +1466,8 @@ mod tests {
 
     #[test]
     fn slab_leak_is_flagged_at_idle() {
-        use crate::{MessageKind, Packet, PacketId, PacketSlab, SlabMode};
-        let mut slab = PacketSlab::with_mode(SlabMode::Recycle);
+        use crate::{MessageKind, Packet, PacketId, PacketSlab};
+        let mut slab = PacketSlab::new();
         let leaked = slab.insert(Packet::new(
             PacketId(3),
             SiteId::from_index(0),

@@ -48,6 +48,6 @@ pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use network::{Network, NetworkKind};
 pub use packet::{MessageKind, Packet, PacketId};
 pub use site::{fast_div, fast_rem, Grid, SiteId};
-pub use slab::{PacketRef, PacketSlab, SlabMode, SlabStats};
+pub use slab::{PacketRef, PacketSlab, SlabStats};
 pub use stats::{NetStats, Phase};
 pub use traffic::{ObservedSource, PacketSource};

@@ -7,12 +7,11 @@
 //! slab, so at a clean idle every slot has returned to the free list —
 //! an invariant the audit layer checks after each run.
 //!
-//! The recycling policy itself is a differential-test axis: in
-//! [`SlabMode::Append`] mode the free list is never reused, so any stale
-//! `PacketRef` held past its `take` would read the old (poisoned) slot
-//! instead of silently aliasing a recycled packet. The kernel-equivalence
-//! harness runs whole simulations in both modes and byte-compares the
-//! results. Select with [`set_thread_mode`] or `NETCORE_PACKET_SLAB=append`.
+//! A `PacketRef` held past its `take` would silently alias whatever
+//! packet next reuses the slot. Debug builds (the default `cargo test`
+//! profile) keep a per-slot occupied flag and panic on any `get`,
+//! `get_mut` or `take` of a freed slot, so such a bug fails loudly
+//! instead; release builds carry no flag and no check.
 
 use crate::Packet;
 
@@ -25,39 +24,6 @@ impl PacketRef {
     pub fn index(self) -> u32 {
         self.0
     }
-}
-
-/// Slot-recycling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlabMode {
-    /// Recycle freed slots through a free list (default).
-    Recycle,
-    /// Never reuse slots; the arena only grows. Reference mode for the
-    /// differential harness — index aliasing bugs change results here.
-    Append,
-}
-
-fn env_mode() -> SlabMode {
-    static FROM_ENV: std::sync::OnceLock<SlabMode> = std::sync::OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var("NETCORE_PACKET_SLAB").as_deref() {
-        Ok("append") => SlabMode::Append,
-        _ => SlabMode::Recycle,
-    })
-}
-
-thread_local! {
-    static THREAD_MODE: std::cell::Cell<Option<SlabMode>> = const { std::cell::Cell::new(None) };
-}
-
-/// Overrides the mode used by [`PacketSlab::new`] on this thread (`None`
-/// restores the process default).
-pub fn set_thread_mode(mode: Option<SlabMode>) {
-    THREAD_MODE.with(|m| m.set(mode));
-}
-
-/// The mode [`PacketSlab::new`] will pick on this thread.
-pub fn current_mode() -> SlabMode {
-    THREAD_MODE.with(|m| m.get()).unwrap_or_else(env_mode)
 }
 
 /// Allocation counters, exposed through `Network::slab_stats` and checked
@@ -94,27 +60,26 @@ impl SlabStats {
 pub struct PacketSlab {
     slots: Vec<Packet>,
     free: Vec<u32>,
-    mode: SlabMode,
+    /// Per-slot "holds a packet" flag, debug builds only: catches stale
+    /// refs.
+    #[cfg(debug_assertions)]
+    occupied: Vec<bool>,
     allocated: u64,
     freed: u64,
     high_water: u64,
 }
 
 impl PacketSlab {
-    /// Creates an empty slab on the thread's current [`SlabMode`].
+    /// Creates an empty slab.
     pub fn new() -> PacketSlab {
-        PacketSlab::with_mode(current_mode())
-    }
-
-    /// Creates an empty slab with an explicit recycling policy.
-    pub fn with_mode(mode: SlabMode) -> PacketSlab {
         PacketSlab {
             // A few cache-lines' worth of slots up front: steady-state
             // traffic then grows the slab rarely, and construction is off
             // every measured path.
             slots: Vec::with_capacity(512),
             free: Vec::with_capacity(512),
-            mode,
+            #[cfg(debug_assertions)]
+            occupied: Vec::with_capacity(512),
             allocated: 0,
             freed: 0,
             high_water: 0,
@@ -128,35 +93,58 @@ impl PacketSlab {
         if live > self.high_water {
             self.high_water = live;
         }
-        if self.mode == SlabMode::Recycle {
-            if let Some(idx) = self.free.pop() {
-                self.slots[idx as usize] = packet;
-                return PacketRef(idx);
+        if let Some(idx) = self.free.pop() {
+            self.slots[idx as usize] = packet;
+            #[cfg(debug_assertions)]
+            {
+                self.occupied[idx as usize] = true;
             }
+            return PacketRef(idx);
         }
         let idx = u32::try_from(self.slots.len()).expect("packet slab overflow");
         self.slots.push(packet);
+        #[cfg(debug_assertions)]
+        self.occupied.push(true);
         PacketRef(idx)
     }
 
+    /// Panics if `r` names a freed slot.
+    #[cfg(debug_assertions)]
+    fn check_live(&self, r: PacketRef) {
+        assert!(
+            self.occupied[r.0 as usize],
+            "stale PacketRef {}: slot already taken",
+            r.0
+        );
+    }
+
+    /// Release builds keep no flags and check nothing.
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    fn check_live(&self, _: PacketRef) {}
+
     /// Reads a resident packet.
     pub fn get(&self, r: PacketRef) -> &Packet {
+        self.check_live(r);
         &self.slots[r.0 as usize]
     }
 
     /// Mutates a resident packet (timestamp/stat stamping in place).
     pub fn get_mut(&mut self, r: PacketRef) -> &mut Packet {
+        self.check_live(r);
         &mut self.slots[r.0 as usize]
     }
 
     /// Removes the packet, releasing the slot for recycling.
     pub fn take(&mut self, r: PacketRef) -> Packet {
-        self.freed += 1;
-        let packet = self.slots[r.0 as usize];
-        if self.mode == SlabMode::Recycle {
-            self.free.push(r.0);
+        self.check_live(r);
+        #[cfg(debug_assertions)]
+        {
+            self.occupied[r.0 as usize] = false;
         }
-        packet
+        self.freed += 1;
+        self.free.push(r.0);
+        self.slots[r.0 as usize]
     }
 
     /// Packets currently resident.
@@ -201,7 +189,7 @@ mod tests {
 
     #[test]
     fn recycles_slots_after_drain() {
-        let mut slab = PacketSlab::with_mode(SlabMode::Recycle);
+        let mut slab = PacketSlab::new();
         let refs: Vec<PacketRef> = (0..8).map(|i| slab.insert(packet(i))).collect();
         assert_eq!(slab.stats().slots, 8);
         for r in refs {
@@ -216,22 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn append_mode_never_reuses_indices() {
-        let mut slab = PacketSlab::with_mode(SlabMode::Append);
-        let a = slab.insert(packet(0));
-        slab.take(a);
-        let b = slab.insert(packet(1));
-        assert_ne!(a, b, "append mode must hand out fresh indices");
-        assert_eq!(slab.stats().slots, 2);
-    }
-
-    #[test]
     fn no_aliasing_under_interleaved_inject_and_deliver() {
         // Two independent slabs (as two networks would own) with
         // interleaved inserts and takes: every ref must read back exactly
         // the packet it was created for, despite slot recycling.
-        let mut left = PacketSlab::with_mode(SlabMode::Recycle);
-        let mut right = PacketSlab::with_mode(SlabMode::Recycle);
+        let mut left = PacketSlab::new();
+        let mut right = PacketSlab::new();
         let mut live: Vec<(bool, PacketRef, u64)> = Vec::new();
         let mut next_id = 0u64;
         for step in 0u64..1000 {
@@ -264,7 +242,7 @@ mod tests {
 
     #[test]
     fn leak_check_returns_to_high_water_free_count_at_idle() {
-        let mut slab = PacketSlab::with_mode(SlabMode::Recycle);
+        let mut slab = PacketSlab::new();
         let refs: Vec<PacketRef> = (0..32).map(|i| slab.insert(packet(i))).collect();
         for r in refs {
             slab.take(r);
@@ -277,11 +255,24 @@ mod tests {
         assert_eq!(slab.free.len() as u64, s.high_water);
     }
 
+    // The liveness check exists in debug builds only.
+    #[cfg(debug_assertions)]
     #[test]
-    fn thread_mode_override_controls_new() {
-        set_thread_mode(Some(SlabMode::Append));
-        assert_eq!(PacketSlab::new().mode, SlabMode::Append);
-        set_thread_mode(None);
-        assert_eq!(PacketSlab::new().mode, current_mode());
+    #[should_panic(expected = "stale PacketRef")]
+    fn take_twice_panics() {
+        let mut slab = PacketSlab::new();
+        let r = slab.insert(packet(0));
+        slab.take(r);
+        slab.take(r);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "stale PacketRef")]
+    fn get_after_take_panics() {
+        let mut slab = PacketSlab::new();
+        let r = slab.insert(packet(0));
+        slab.take(r);
+        slab.get(r);
     }
 }
