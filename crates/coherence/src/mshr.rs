@@ -63,10 +63,12 @@ impl MshrFile {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the line had no outstanding miss.
+    /// Panics if the line had no outstanding miss, in release builds
+    /// too: a double release is a protocol bug, and the check runs once
+    /// per completed miss.
     pub fn release(&mut self, line_addr: u64) {
         let was_present = self.outstanding.remove(&line_addr);
-        debug_assert!(was_present, "released an MSHR that was never allocated");
+        assert!(was_present, "released an MSHR that was never allocated");
     }
 
     /// Registers currently in use.

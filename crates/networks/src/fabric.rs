@@ -14,9 +14,18 @@
 //! and the router-energy model both consume.
 //!
 //! The whole fabric runs inside the caller's single event loop: the
-//! wrapper owns one calendar queue for board-link events and forwards
-//! `advance` to whichever chip holds the globally earliest event, so the
-//! existing sweep/fault/replay drivers, the slab-leak check and the
+//! wrapper owns one calendar queue for board-link events, and `advance`
+//! walks the board instant by instant, each at its own timestamp —
+//! board events first, then every chip due at that instant in board
+//! order. Because that walk is time-faithful, the fabric supports batched
+//! advance like a bare network: the runner sweeps it through every event
+//! up to the next emission in one call and reads the clock back from
+//! `last_event_time`. Each chip's next-event time is cached in
+//! `chip_next` and refreshed only after a call that can move it (a chip
+//! `advance`, an `inject` into the chip, a forwarded fault), so finding
+//! the next instant is a linear scan of at most 64 entries with no
+//! dynamic calls; at that size an indexed heap is not worth its code.
+//! The existing sweep/fault/replay drivers, the slab-leak check and the
 //! flight recorder all work unchanged. The wrapper's tracer is *never*
 //! propagated to the inner chips — inner activity is summarized at the
 //! fabric boundary (their relay work is re-emitted as gateway-anchored
@@ -86,6 +95,13 @@ pub struct FabricNetwork {
     /// after that chip's next event.
     pending: Vec<VecDeque<Packet>>,
     events: desim::EventQueue<Ev>,
+    /// Cached `chips[i].next_event()`, refreshed after every call that
+    /// can move it (see [`FabricNetwork::refresh`]).
+    chip_next: Vec<Option<Time>>,
+    /// The last instant `advance` processed, for batched driving.
+    last: Option<Time>,
+    /// Reused buffer for the legs drained out of one chip.
+    legs: Vec<Packet>,
     delivered: Vec<Packet>,
     stats: NetStats,
     tracer: Tracer,
@@ -111,6 +127,9 @@ impl FabricNetwork {
             transit: FxHashMap::default(),
             pending: (0..k).map(|_| VecDeque::new()).collect(),
             events: desim::EventQueue::new(),
+            chip_next: vec![None; k],
+            last: None,
+            legs: Vec::new(),
             delivered: Vec::with_capacity(256),
             stats: NetStats::new(),
             tracer: Tracer::disabled(),
@@ -124,6 +143,20 @@ impl FabricNetwork {
 
     fn link_index(&self, src_chip: usize, dst_chip: usize) -> usize {
         src_chip * self.chips.len() + dst_chip
+    }
+
+    /// Re-reads chip `i`'s next-event time after a call that may have
+    /// moved it.
+    fn refresh(&mut self, i: usize) {
+        self.chip_next[i] = self.chips[i].next_event();
+    }
+
+    /// Offers a chip-local packet to chip `i`, keeping its cached clock
+    /// current.
+    fn inject_into(&mut self, i: usize, leg: Packet, now: Time) -> Result<(), Packet> {
+        let result = self.chips[i].inject(leg, now);
+        self.refresh(i);
+        result
     }
 
     /// Re-emits an inner chip's relay work as gateway-anchored `Hop`
@@ -272,15 +305,14 @@ impl FabricNetwork {
     }
 
     fn offer_leg2(&mut self, chip: usize, leg2: Packet, now: Time) {
-        match self.chips[chip].inject(leg2, now) {
-            Ok(()) => {}
-            Err(refused) => self.pending[chip].push_back(refused),
+        if let Err(refused) = self.inject_into(chip, leg2, now) {
+            self.pending[chip].push_back(refused);
         }
     }
 
     fn retry_pending(&mut self, chip: usize, now: Time) {
         while let Some(leg2) = self.pending[chip].pop_front() {
-            if let Err(refused) = self.chips[chip].inject(leg2, now) {
+            if let Err(refused) = self.inject_into(chip, leg2, now) {
                 self.pending[chip].push_front(refused);
                 break;
             }
@@ -288,16 +320,20 @@ impl FabricNetwork {
     }
 
     /// The earliest pending instant across the board queue and every
-    /// chip.
+    /// chip, read from the cached chip clocks.
     fn earliest(&self) -> Option<Time> {
-        let mut t = self.events.peek_time();
-        for chip in &self.chips {
-            t = match (t, chip.next_event()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+        debug_assert!(
+            self.chips
+                .iter()
+                .zip(&self.chip_next)
+                .all(|(chip, &cached)| chip.next_event() == cached),
+            "stale cached chip clock"
+        );
+        let chips = self.chip_next.iter().flatten().copied().min();
+        match (self.events.peek_time(), chips) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
-        t
     }
 
     fn globalize_evicted(&self, chip: usize, mut p: Packet) -> Packet {
@@ -355,7 +391,7 @@ impl Network for FabricNetwork {
             let mut leg = packet;
             leg.src = self.fabric.local(packet.src);
             leg.dst = self.fabric.local(packet.dst);
-            return match self.chips[sc].inject(leg, now) {
+            return match self.inject_into(sc, leg, now) {
                 Ok(()) => {
                     self.stats.on_inject(now);
                     if let Some((id, src, dst, bytes)) = trace_fields {
@@ -415,7 +451,7 @@ impl Network for FabricNetwork {
         let mut leg = packet;
         leg.src = self.fabric.local(packet.src);
         leg.dst = self.fabric.chip.grid.site(0, 0);
-        match self.chips[sc].inject(leg, now) {
+        match self.inject_into(sc, leg, now) {
             Ok(()) => {
                 self.link_load[link] += 1;
                 self.transit.insert(
@@ -458,6 +494,7 @@ impl Network for FabricNetwork {
         // deterministically: board events first, then chips in board
         // order. Every handler runs at its event's own timestamp, so the
         // interleaving is time-faithful.
+        let mut legs = std::mem::take(&mut self.legs);
         while let Some(t) = self.earliest() {
             if t > now {
                 break;
@@ -469,9 +506,11 @@ impl Network for FabricNetwork {
                 }
             }
             for i in 0..self.chips.len() {
-                if self.chips[i].next_event().is_some_and(|ct| ct <= t) {
+                if self.chip_next[i].is_some_and(|ct| ct <= t) {
                     self.chips[i].advance(t);
-                    for leg in self.chips[i].drain_delivered() {
+                    self.refresh(i);
+                    self.chips[i].drain_delivered_into(&mut legs);
+                    for leg in legs.drain(..) {
                         self.on_chip_delivery(i, leg, t);
                     }
                     if !self.pending[i].is_empty() {
@@ -479,7 +518,17 @@ impl Network for FabricNetwork {
                     }
                 }
             }
+            self.last = Some(t);
         }
+        self.legs = legs;
+    }
+
+    fn last_event_time(&self) -> Option<Time> {
+        self.last
+    }
+
+    fn supports_batched_advance(&self) -> bool {
+        true
     }
 
     fn drain_delivered(&mut self) -> Vec<Packet> {
@@ -558,6 +607,7 @@ impl Network for FabricNetwork {
                     },
                 };
                 let mut response = self.chips[chip].apply_fault(local, now);
+                self.refresh(chip);
                 if !response.evicted.is_empty() {
                     let evicted = std::mem::take(&mut response.evicted);
                     response.evicted = self.absorb_evictions(chip, evicted);

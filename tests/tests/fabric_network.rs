@@ -8,16 +8,28 @@
 //! [`FabricConfig`] is not "almost" the plain single-chip path, it *is*
 //! that path — same [`PointResult`], same metrics snapshot, byte for
 //! byte.
+//!
+//! The last test pins the fabric's batched advance: driving a board
+//! through whole batches of events per `advance` call gives the same run,
+//! counters and trace stream as driving it one event at a time.
 
-use desim::Span;
-use faults::FaultPlan;
+use desim::trace::{RingSink, TeeSink};
+use desim::{Span, Time, TraceEvent, Tracer};
+use faults::{FaultPlan, ResilientNetwork};
 use macrochip::campaign::{
     run_indexed, run_point_fabric, run_point_full, run_point_full_fabric, CampaignPoint,
     PointExecOptions, PointRun,
 };
+use macrochip::runner::{drive_traced, DriveLimits, RunOutcome};
 use macrochip::sweep::SweepOptions;
-use netcore::{FabricConfig, MacrochipConfig, NetworkKind};
-use workloads::Pattern;
+use netcore::{
+    Auditor, FabricConfig, FaultResponse, MacrochipConfig, NetFault, NetStats, Network,
+    NetworkKind, Packet, SlabStats,
+};
+use networks::FabricNetwork;
+use std::cell::RefCell;
+use std::rc::Rc;
+use workloads::{OpenLoopTraffic, Pattern};
 
 const SIM: Span = Span::from_ns(500);
 const DRAIN: Span = Span::from_us(5);
@@ -172,5 +184,198 @@ fn single_chip_fabric_points_match_plain_points() {
                 "{kind}: single-chip fabric audit verdict differs from the plain path"
             );
         }
+    }
+}
+
+/// A network the runner must drive one event at a time: it forwards every
+/// [`Network`] method except `supports_batched_advance`, which answers
+/// `false`.
+struct PerEvent<N>(N);
+
+impl<N: Network> Network for PerEvent<N> {
+    fn kind(&self) -> NetworkKind {
+        self.0.kind()
+    }
+
+    fn config(&self) -> &MacrochipConfig {
+        self.0.config()
+    }
+
+    fn inject(&mut self, packet: Packet, now: Time) -> Result<(), Packet> {
+        self.0.inject(packet, now)
+    }
+
+    fn admission_queue(&self, packet: &Packet) -> Option<u32> {
+        self.0.admission_queue(packet)
+    }
+
+    fn refuse_if_full(&mut self, queue: u32) -> bool {
+        self.0.refuse_if_full(queue)
+    }
+
+    fn next_event(&self) -> Option<Time> {
+        self.0.next_event()
+    }
+
+    fn advance(&mut self, now: Time) {
+        self.0.advance(now);
+    }
+
+    fn drain_delivered(&mut self) -> Vec<Packet> {
+        self.0.drain_delivered()
+    }
+
+    fn drain_delivered_into(&mut self, out: &mut Vec<Packet>) {
+        self.0.drain_delivered_into(out);
+    }
+
+    fn last_event_time(&self) -> Option<Time> {
+        self.0.last_event_time()
+    }
+
+    fn supports_batched_advance(&self) -> bool {
+        false
+    }
+
+    fn slab_stats(&self) -> Option<SlabStats> {
+        self.0.slab_stats()
+    }
+
+    fn stats(&self) -> &NetStats {
+        self.0.stats()
+    }
+
+    fn events_processed(&self) -> u64 {
+        self.0.events_processed()
+    }
+
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.0.set_tracer(tracer);
+    }
+
+    fn apply_fault(&mut self, fault: NetFault, now: Time) -> FaultResponse {
+        self.0.apply_fault(fault, now)
+    }
+}
+
+/// Everything a driven board run leaves behind.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    outcome: RunOutcome,
+    /// `Debug` rendering of the full `NetStats` (f64s print exactly).
+    net_stats: String,
+    trace: Vec<(Time, TraceEvent)>,
+    rejected: u64,
+    violations: u64,
+}
+
+/// Drives uniform traffic at `load` over `net` on the [`fabric`] board
+/// with a ring sink and a fabric auditor attached; `dropped` reads the
+/// wrapper's permanent drops for the audit after the run. A run that
+/// ran dry is also checked for packets left in any chip's slab.
+fn observe<N: Network>(
+    mut net: N,
+    load: f64,
+    limits: DriveLimits,
+    dropped: impl Fn(&N) -> u64,
+) -> Observed {
+    let board = fabric();
+    let global = board.global_config();
+    let ring = Rc::new(RefCell::new(RingSink::new(1 << 22)));
+    let auditor = Rc::new(RefCell::new(Auditor::new_fabric(net.kind(), &board)));
+    let mut tee = TeeSink::new();
+    tee.add(&ring);
+    tee.add(&auditor);
+    let tracer = Tracer::new(tee);
+    net.set_tracer(tracer.clone());
+    let mut traffic = OpenLoopTraffic::new(
+        &global.grid,
+        Pattern::Uniform,
+        load,
+        global.site_bandwidth_bytes_per_ns(),
+        global.data_bytes,
+        0xFAB,
+    );
+    traffic.set_horizon(Time::ZERO + SIM);
+    let outcome = drive_traced(&mut net, &mut traffic, limits, tracer);
+    if !outcome.saturated && !outcome.timed_out {
+        // The run ended because no event was left: every chip must be
+        // empty, which a stale cached chip clock would hide.
+        auditor
+            .borrow_mut()
+            .check_slab_idle(net.slab_stats(), outcome.end);
+    }
+    let report = auditor
+        .borrow_mut()
+        .finalize(net.stats(), dropped(&net), outcome.end);
+    assert_eq!(ring.borrow().dropped(), 0, "ring sink overflowed");
+    let trace = ring.borrow().snapshot();
+    Observed {
+        outcome,
+        net_stats: format!("{:?}", net.stats()),
+        trace,
+        rejected: net.stats().rejected_packets(),
+        violations: report.total_violations,
+    }
+}
+
+/// Batched and per-event driving of every architecture on the 2x2 board
+/// give the same `RunOutcome`, `NetStats` and trace stream, with a clean
+/// audit: a light point that never stalls, a saturating point whose run
+/// falls back to the per-event stall path partway through, and a
+/// resilience-wrapped fault point that kills a board link.
+#[test]
+fn batched_fabric_advance_matches_per_event_driving() {
+    let board = fabric();
+    let limits = DriveLimits::for_window(SIM, DRAIN, 5_000);
+    for kind in NetworkKind::ALL {
+        let bare = networks::build_fabric(kind, &board);
+        assert!(bare.supports_batched_advance(), "{kind}");
+        for load in [0.002, 0.03] {
+            let batched = observe(FabricNetwork::new(kind, board), load, limits, |_| 0);
+            let stepped = observe(
+                PerEvent(FabricNetwork::new(kind, board)),
+                load,
+                limits,
+                |_| 0,
+            );
+            assert_eq!(batched.violations, 0, "{kind} @ {load}: audit violations");
+            assert!(
+                batched == stepped,
+                "{kind} @ {load}: batching changed the run"
+            );
+            if load > 0.01 {
+                assert!(batched.rejected > 0, "{kind} @ {load}: never stalled");
+            } else {
+                assert!(!batched.outcome.saturated, "{kind} @ {load}: saturated");
+            }
+        }
+
+        // A board-link kill, and an on-chip link kill and laser loss on
+        // chip 0 that the fabric forwards to that chip.
+        let plan = FaultPlan::parse("link:0->4@200ns; link:1->2@250ns; laser:9@300ns; repair=1us")
+            .unwrap();
+        let resilient = || {
+            ResilientNetwork::new(
+                networks::build_fabric(kind, &board),
+                &plan,
+                77,
+                Time::ZERO + SIM,
+            )
+        };
+        assert!(resilient().supports_batched_advance(), "{kind}");
+        let batched = observe(resilient(), 0.005, limits, |n| n.fault_stats().dropped);
+        let stepped = observe(PerEvent(resilient()), 0.005, limits, |n| {
+            n.0.fault_stats().dropped
+        });
+        assert_eq!(
+            batched.violations, 0,
+            "{kind} fault point: audit violations"
+        );
+        assert!(
+            batched == stepped,
+            "{kind} fault point: batching changed the run"
+        );
+        assert!(!batched.outcome.saturated, "{kind} fault point: saturated");
     }
 }
