@@ -5,8 +5,7 @@
 //! is dirty somewhere) and the full sharer bit-vector — 64 sites fit a
 //! `u64` exactly.
 
-use netcore::SiteId;
-use std::collections::HashMap;
+use netcore::{FxHashMap, SiteId};
 
 /// The sharing state of one line at its home directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,7 +51,7 @@ impl DirEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    entries: HashMap<u64, DirEntry>,
+    entries: FxHashMap<u64, DirEntry>,
 }
 
 impl Directory {

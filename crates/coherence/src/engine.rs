@@ -27,8 +27,8 @@
 use crate::ops::{NextMiss, OpKind, OpSource, OpSpec};
 use desim::stats::LatencyHistogram;
 use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
-use netcore::{MacrochipConfig, MessageKind, Packet, PacketId, PacketSource, SiteId};
-use std::collections::{HashMap, VecDeque};
+use netcore::{FxHashMap, MacrochipConfig, MessageKind, Packet, PacketId, PacketSource, SiteId};
+use std::collections::VecDeque;
 
 /// Timing and capacity parameters of the coherence layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -170,9 +170,9 @@ pub struct CoherenceEngine<S: OpSource> {
     config: EngineConfig,
     source: S,
     events: EventQueue<EngEv>,
-    ops: HashMap<u64, OpState>,
+    ops: FxHashMap<u64, OpState>,
     /// (site index, line) → outstanding primary op id.
-    pending_lines: HashMap<(usize, u64), u64>,
+    pending_lines: FxHashMap<(usize, u64), u64>,
     /// Registers in use per site.
     mshrs_used: Vec<usize>,
     /// Cores whose issue stalled on a full MSHR file, per site.
@@ -213,8 +213,8 @@ impl<S: OpSource> CoherenceEngine<S> {
             config,
             source,
             events,
-            ops: HashMap::new(),
-            pending_lines: HashMap::new(),
+            ops: FxHashMap::default(),
+            pending_lines: FxHashMap::default(),
             mshrs_used: vec![0; sites],
             mshr_waiters: (0..sites).map(|_| VecDeque::new()).collect(),
             active_cores,

@@ -148,51 +148,64 @@ const RETRIES_PER_EVENT: usize = 64;
 
 /// Packets refused under backpressure, in re-offer order.
 ///
-/// Packets park in a slab and the FIFO holds `(slot, admission queue)`
-/// pairs, so rotating a refused packet to the back moves 8 bytes, not a
-/// whole [`Packet`]. The admission queue is the one
-/// [`Network::admission_queue`] named when the packet was refused; while
-/// [`Network::refuse_if_full`] reports it still full, a re-offer is
-/// counted as refused without calling [`Network::inject`].
+/// Packets park in a slab and two parallel FIFOs, rotated together, hold
+/// each packet's slot and admission-queue key, so rotating a refused
+/// packet to the back moves 8 bytes, not a whole [`Packet`]. The key is
+/// the queue [`Network::admission_queue`] named when the packet was
+/// refused; while [`Network::refuse_while_full`] reports it still full, a
+/// re-offer is counted as refused without calling [`Network::inject`].
 struct StallQueue {
     slab: PacketSlab,
-    fifo: VecDeque<(PacketRef, u32)>,
+    slots: VecDeque<PacketRef>,
+    keys: VecDeque<u32>,
 }
 
 impl StallQueue {
     fn new() -> StallQueue {
         StallQueue {
             slab: PacketSlab::new(),
-            fifo: VecDeque::new(),
+            slots: VecDeque::new(),
+            keys: VecDeque::new(),
         }
     }
 
     fn len(&self) -> usize {
-        self.fifo.len()
+        self.slots.len()
     }
 
     fn is_empty(&self) -> bool {
-        self.fifo.is_empty()
+        self.slots.is_empty()
     }
 
     /// Parks a packet `net` has just refused, at the back of the queue.
     #[cold]
     fn park(&mut self, net: &dyn Network, packet: Packet) {
         let queue = net.admission_queue(&packet).unwrap_or(NO_HINT);
-        self.fifo.push_back((self.slab.insert(packet), queue));
+        self.slots.push_back(self.slab.insert(packet));
+        self.keys.push_back(queue);
     }
 
     /// Re-offers up to [`RETRIES_PER_EVENT`] stalled packets, FIFO;
-    /// refused ones go to the back. Kept out of line so the batched
-    /// open-loop path, which never stalls, compiles without it.
+    /// refused ones go to the back. A run of entries whose queues are
+    /// still full costs one [`Network::refuse_while_full`] call and one
+    /// rotation; the entry that ends the run is offered through
+    /// [`Network::inject`]. Kept out of line so the batched open-loop
+    /// path, which never stalls, compiles without it.
     #[inline(never)]
     fn reoffer(&mut self, net: &mut dyn Network, now: Time, tracer: &Tracer) {
-        for _ in 0..self.fifo.len().min(RETRIES_PER_EVENT) {
-            let (slot, queue) = self.fifo.pop_front().expect("len checked");
-            if queue != NO_HINT && net.refuse_if_full(queue) {
-                self.fifo.push_back((slot, queue));
-                continue;
+        let window = self.len().min(RETRIES_PER_EVENT);
+        let mut used = 0;
+        while used < window {
+            let run = self.refuse_run(net, window - used);
+            self.slots.rotate_left(run);
+            self.keys.rotate_left(run);
+            used += run;
+            if used == window {
+                break;
             }
+            used += 1;
+            self.keys.pop_front();
+            let slot = self.slots.pop_front().expect("inside the window");
             let p = self.slab.take(slot);
             // The packet is moved into the network, so its trace fields
             // are copied out beforehand — only when the flight recorder
@@ -210,6 +223,35 @@ impl StallQueue {
                 Err(back) => self.park(net, back),
             }
         }
+    }
+
+    /// Refuses the front entries, at most `max`, while their queues are
+    /// still full, and returns how many it refused. The run stops at the
+    /// first entry with no hint; it crosses from the first half of the
+    /// ring buffer into the second only if the first was refused whole.
+    fn refuse_run(&self, net: &mut dyn Network, max: usize) -> usize {
+        let (front, back) = self.keys.as_slices();
+        let run = refuse_hinted(net, front, max);
+        if run == front.len() && run < max {
+            run + refuse_hinted(net, back, max - run)
+        } else {
+            run
+        }
+    }
+}
+
+/// [`Network::refuse_while_full`] on the first `max` keys, cut at the
+/// first [`NO_HINT`].
+fn refuse_hinted(net: &mut dyn Network, keys: &[u32], max: usize) -> usize {
+    let keys = &keys[..keys.len().min(max)];
+    let hinted = keys
+        .iter()
+        .position(|&k| k == NO_HINT)
+        .map_or(keys, |cut| &keys[..cut]);
+    if hinted.is_empty() {
+        0
+    } else {
+        net.refuse_while_full(hinted)
     }
 }
 
@@ -349,6 +391,7 @@ fn drive_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desim::SimRng;
     use netcore::{MacrochipConfig, NetworkKind};
     use workloads::{OpenLoopTraffic, Pattern};
 
@@ -501,5 +544,217 @@ mod tests {
         // 40 packets at 12.8 ns serialization each: the last one waited
         // ~500 ns even though the channel queue holds only 16.
         assert!(stats.latency().max().as_ns_f64() > 400.0);
+    }
+
+    /// The per-entry re-offer loop the batched [`StallQueue::reoffer`]
+    /// replaced, kept as its oracle: one `refuse_if_full` call, or one
+    /// `inject`, and one pop and push per entry.
+    struct PerEntryStallQueue {
+        slab: PacketSlab,
+        fifo: VecDeque<(PacketRef, u32)>,
+    }
+
+    impl PerEntryStallQueue {
+        fn park(&mut self, net: &dyn Network, packet: Packet) {
+            let queue = net.admission_queue(&packet).unwrap_or(NO_HINT);
+            self.fifo.push_back((self.slab.insert(packet), queue));
+        }
+
+        fn reoffer(&mut self, net: &mut dyn Network, now: Time) {
+            for _ in 0..self.fifo.len().min(RETRIES_PER_EVENT) {
+                let (slot, queue) = self.fifo.pop_front().expect("len checked");
+                if queue != NO_HINT && net.refuse_if_full(queue) {
+                    self.fifo.push_back((slot, queue));
+                    continue;
+                }
+                let p = self.slab.take(slot);
+                if let Err(back) = net.inject(p, now) {
+                    self.park(net, back);
+                }
+            }
+        }
+    }
+
+    const SCRIPTED_KEYS: usize = 5;
+
+    /// A network whose admission queues are a fullness bit per key. Every
+    /// fourth packet gets no hint and is refused at random. `inject` may
+    /// fill the packet's queue and free another one, and `advance` flips
+    /// queues at random; all draws come from the network's own seeded
+    /// generator, so two copies stay in step as long as they are driven
+    /// through the same `inject` and `advance` calls. `refuse_if_full`
+    /// draws nothing and panics on a key it never handed out.
+    struct Scripted {
+        config: MacrochipConfig,
+        stats: netcore::NetStats,
+        full: [bool; SCRIPTED_KEYS],
+        rng: SimRng,
+        injects: Vec<(u64, bool)>,
+        frees: u64,
+    }
+
+    impl Scripted {
+        fn new(seed: u64) -> Scripted {
+            Scripted {
+                config: MacrochipConfig::scaled(),
+                stats: netcore::NetStats::new(),
+                full: [true; SCRIPTED_KEYS],
+                rng: SimRng::new(seed),
+                injects: Vec::new(),
+                frees: 0,
+            }
+        }
+    }
+
+    impl Network for Scripted {
+        fn kind(&self) -> NetworkKind {
+            NetworkKind::PointToPoint
+        }
+        fn config(&self) -> &MacrochipConfig {
+            &self.config
+        }
+        fn inject(&mut self, packet: Packet, now: Time) -> Result<(), Packet> {
+            let refused = match self.admission_queue(&packet) {
+                Some(key) => self.full[key as usize],
+                None => self.rng.chance(0.5),
+            };
+            self.injects.push((packet.id.0, !refused));
+            if refused {
+                self.stats.on_reject();
+                return Err(packet);
+            }
+            self.stats.on_inject(now);
+            if let Some(key) = self.admission_queue(&packet) {
+                self.full[key as usize] = self.rng.chance(0.5);
+            }
+            if self.rng.chance(1.0 / 3.0) {
+                let other = self.rng.range(0..SCRIPTED_KEYS);
+                self.frees += u64::from(self.full[other]);
+                self.full[other] = false;
+            }
+            Ok(())
+        }
+        fn admission_queue(&self, packet: &Packet) -> Option<u32> {
+            let id = packet.id.0;
+            (!id.is_multiple_of(4)).then_some((id / 4 % SCRIPTED_KEYS as u64) as u32)
+        }
+        fn refuse_if_full(&mut self, queue: u32) -> bool {
+            self.stats.reject_if(self.full[queue as usize])
+        }
+        fn next_event(&self) -> Option<Time> {
+            None
+        }
+        fn advance(&mut self, _: Time) {
+            for key in 0..SCRIPTED_KEYS {
+                if self.rng.chance(1.0 / 3.0) {
+                    self.full[key] = !self.full[key];
+                }
+            }
+        }
+        fn drain_delivered(&mut self) -> Vec<Packet> {
+            Vec::new()
+        }
+        fn stats(&self) -> &netcore::NetStats {
+            &self.stats
+        }
+    }
+
+    /// The oracle and the batched queue, each driving its own copy of one
+    /// scripted network.
+    struct Twins {
+        oracle: PerEntryStallQueue,
+        oracle_net: Scripted,
+        batched: StallQueue,
+        batched_net: Scripted,
+        next_id: u64,
+    }
+
+    impl Twins {
+        fn new(seed: u64) -> Twins {
+            Twins {
+                oracle: PerEntryStallQueue {
+                    slab: PacketSlab::new(),
+                    fifo: VecDeque::new(),
+                },
+                oracle_net: Scripted::new(seed),
+                batched: StallQueue::new(),
+                batched_net: Scripted::new(seed),
+                next_id: 0,
+            }
+        }
+
+        /// Offers `count` fresh packets to both sides; refused ones park.
+        fn offer(&mut self, count: usize, now: Time) {
+            let grid = &self.oracle_net.config.grid;
+            let (src, dst) = (grid.site(0, 0), grid.site(1, 0));
+            for _ in 0..count {
+                let id = netcore::PacketId(self.next_id);
+                let p = Packet::new(id, src, dst, 64, netcore::MessageKind::Data, now);
+                self.next_id += 1;
+                if let Err(back) = self.oracle_net.inject(p, now) {
+                    self.oracle.park(&self.oracle_net, back);
+                }
+                if let Err(back) = self.batched_net.inject(p, now) {
+                    self.batched.park(&self.batched_net, back);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_reoffer_matches_the_per_entry_oracle() {
+        let (mut wrapped, mut short, mut long, mut unhinted, mut freed) = (0, 0, 0, 0, 0);
+        for seed in 0..200u64 {
+            let mut script = SimRng::new(seed ^ 0x5eed);
+            let mut t = Twins::new(seed);
+            // Up to ~200 entries at the start: windows both shorter and
+            // longer than RETRIES_PER_EVENT.
+            t.offer(script.range(0..200), Time::ZERO);
+            for round in 1..40u64 {
+                let now = Time::from_ns(round);
+                t.oracle_net.advance(now);
+                t.batched_net.advance(now);
+                let len = t.batched.len();
+                let window = len.min(RETRIES_PER_EVENT);
+                wrapped += usize::from(t.batched.keys.as_slices().0.len() < window);
+                short += usize::from(window > 0 && len < RETRIES_PER_EVENT);
+                long += usize::from(len > RETRIES_PER_EVENT);
+                unhinted += usize::from(t.batched.keys.iter().take(window).any(|&k| k == NO_HINT));
+                let frees = t.batched_net.frees;
+                t.oracle.reoffer(&mut t.oracle_net, now);
+                t.batched
+                    .reoffer(&mut t.batched_net, now, &Tracer::disabled());
+                freed += usize::from(t.batched_net.frees > frees);
+
+                let at = format!("seed {seed} round {round}");
+                assert_eq!(t.oracle_net.injects, t.batched_net.injects, "{at}");
+                assert_eq!(
+                    t.oracle_net.stats.rejected_packets(),
+                    t.batched_net.stats.rejected_packets(),
+                    "{at}"
+                );
+                let oracle_order: Vec<_> = t
+                    .oracle
+                    .fifo
+                    .iter()
+                    .map(|&(slot, key)| (t.oracle.slab.get(slot).id, key))
+                    .collect();
+                let batched_order: Vec<_> = t
+                    .batched
+                    .slots
+                    .iter()
+                    .zip(&t.batched.keys)
+                    .map(|(&slot, &key)| (t.batched.slab.get(slot).id, key))
+                    .collect();
+                assert_eq!(oracle_order, batched_order, "{at}");
+
+                t.offer(script.range(0..6), now);
+            }
+        }
+        // Every case the batched loop distinguishes was exercised.
+        assert!(wrapped > 0, "no window wrapped the ring buffer");
+        assert!(short > 0 && long > 0, "short {short}, long {long}");
+        assert!(unhinted > 0, "no window held an unhinted entry");
+        assert!(freed > 0, "no accepted inject freed a queue");
     }
 }

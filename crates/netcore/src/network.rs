@@ -89,7 +89,8 @@ impl fmt::Display for NetworkKind {
 /// 1. [`inject`](Network::inject) a packet at the current time (may refuse
 ///    under backpressure — the caller retries after the next event, and
 ///    may skip a retry while [`refuse_if_full`](Network::refuse_if_full)
-///    reports the refusing queue still full);
+///    or [`refuse_while_full`](Network::refuse_while_full) reports the
+///    refusing queue still full);
 /// 2. query [`next_event`](Network::next_event) for the earliest pending
 ///    internal event;
 /// 3. [`advance`](Network::advance) simulation up to a chosen instant;
@@ -137,6 +138,19 @@ pub trait Network {
     fn refuse_if_full(&mut self, queue: u32) -> bool {
         let _ = queue;
         false
+    }
+
+    /// Walks `keys` in order and refuses each key whose admission queue is
+    /// still full, exactly as [`refuse_if_full`](Network::refuse_if_full)
+    /// would, one refusal counted per refused key. Stops at the first key
+    /// whose queue is not full and returns the number refused.
+    ///
+    /// The contract is that of `refuse_if_full`: soundness only. The
+    /// default body is compiled once per implementor, so a caller holding
+    /// a `dyn Network` pays one dynamic call for a whole run of refusals
+    /// while each `refuse_if_full` inside it is a static call.
+    fn refuse_while_full(&mut self, keys: &[u32]) -> usize {
+        keys.iter().take_while(|&&k| self.refuse_if_full(k)).count()
     }
 
     /// The earliest pending internal event, if any.

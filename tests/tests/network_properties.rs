@@ -190,6 +190,19 @@ proptest! {
                 if let Some(fault) = fault {
                     let _ = net.apply_fault(fault, at);
                 }
+                // The batched form refuses the same keys as calling
+                // `refuse_if_full` key by key, up to the first queue with
+                // room, and counts one refusal per refused key.
+                let keys: Vec<u32> = stalled.iter().filter_map(|&(_, key)| key).collect();
+                let (rejected, injected) =
+                    (net.stats().rejected_packets(), net.stats().injected_packets());
+                let run = net.refuse_while_full(&keys);
+                prop_assert!(run <= keys.len(), "{}", kind);
+                prop_assert_eq!(net.stats().rejected_packets(), rejected + run as u64, "{}", kind);
+                prop_assert_eq!(net.stats().injected_packets(), injected, "{}", kind);
+                for (j, &key) in keys.iter().enumerate().take(run + 1) {
+                    prop_assert_eq!(net.refuse_if_full(key), j < run, "{}: key {}", kind, j);
+                }
                 let mut offers = std::mem::take(&mut stalled);
                 for k in 0..burst {
                     let id = PacketId(i as u64 * 4 + k);
