@@ -12,7 +12,6 @@
 //! macrochip replay    --trace run.mtrc [--network all] [--faults "rand-links=2"]
 //! macrochip trace-info run.mtrc | --dir traces/ [--write-index]
 //! macrochip trace-transform --trace run.mtrc --out half.mtrc --truncate-ns 500
-//! macrochip bench     [--quick] [--out BENCH_1.json] [--against baseline.json]
 //! macrochip cache     stats | prune [--max-bytes N] [--older-than SPAN]
 //! ```
 //!
@@ -69,9 +68,6 @@ USAGE:
                         (--time-scale <N/D> | --truncate <N>
                          | --truncate-ns <NS> | --keep-kind <KIND>
                          | --remap <rot:K|i,j,...> | --merge <A,B,...>)
-    macrochip bench     [--quick] [--trials <N>] [--out <FILE>] [--chips <M>]
-                        [--against <BASELINE.json>] [--max-regression <F>]
-                        [--with-tracer] [--profile] [--progress] [-q]
     macrochip cache     stats | prune [--max-bytes <N>] [--older-than <AGE>]
 
 NETWORKS:   p2p, limited, token, circuit, two-phase, two-phase-alt,
@@ -81,7 +77,7 @@ PATTERNS:   uniform, transpose, butterfly, neighbor, all-to-all, hotspot
 GEOMETRY:
     --side <N>         simulate an NxN macrochip instead of the paper's
                        8x8 (tables, sweep, sustained, coherent, mp,
-                       faults, run-all, capture, replay, bench).
+                       faults, run-all, capture, replay).
                        Per-site bandwidths stay at the paper's figures;
                        photonic component counts, laser power and
                        propagation delays scale with the geometry. The
@@ -89,7 +85,7 @@ GEOMETRY:
                        the five flat architectures' provisioning grows
                        quadratically.
     --chips <M>        simulate an MxM board of macrochips (tables,
-                       sweep, faults, run-all, bench; default 1). Each
+                       sweep, faults, run-all; default 1). Each
                        chip runs its own instance of the chosen network;
                        every chip's gateway site (its local (0,0)) gets
                        a dedicated board-level WDM link to every other
@@ -137,21 +133,7 @@ OUTPUT (sweep, sustained, faults, run-all):
     --profile          enable the span profiler (event dispatch, network
                        step, injection, source, trace fan-out, audit) and
                        print its self/total table to stderr on completion.
-                       Under bench, the table is also written alongside
-                       the baseline as BENCH_<n>.profile.txt.
                        Simulation results are byte-identical either way
-
-HOST PERF BASELINE (bench):
-    bench runs a fixed-seed workload on all five Figure 6 networks,
-    repeats it (median of 5 trials; --quick = 3 shorter trials), checks
-    that every trial agrees on the deterministic fields, and writes a
-    schema-versioned BENCH_<n>.json (events/sec, wall-clock, commit).
-    --against <FILE> compares versus a checked-in baseline and exits
-    nonzero when any network's events/sec regressed by more than
-    --max-regression (default 2.0; --factor is the historical alias).
-    The factor in force is recorded in the written JSON. --with-tracer
-    attaches a ring flight recorder during trials to measure tracer-on
-    overhead.
 
 PARALLELISM (sweep, faults, run-all — campaign engine):
     --jobs <N>         shard independent points across N worker threads
@@ -503,7 +485,7 @@ fn reject_chips(args: &[String], cmd: &str) -> Result<(), String> {
     if args.iter().any(|a| a == "--chips") {
         return Err(format!(
             "`{cmd}` is a single-chip harness and does not take --chips \
-             (multi-chip boards run: tables, sweep, faults, run-all, bench)"
+             (multi-chip boards run: tables, sweep, faults, run-all)"
         ));
     }
     Ok(())
@@ -1703,91 +1685,6 @@ fn cmd_trace_transform(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `macrochip bench` — measure host throughput on all five networks and
-/// write the standing `BENCH_*.json` baseline. See `bench` in USAGE.
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let fabric = fabric_from_args(args)?;
-    let quiet = args.iter().any(|a| a == "-q" || a == "--quiet");
-    let profile = args.iter().any(|a| a == "--profile");
-    if profile {
-        prof::set_enabled(true);
-    }
-    let mut options = if args.iter().any(|a| a == "--quick") {
-        BenchOptions::quick()
-    } else {
-        BenchOptions::full()
-    };
-    if let Some(t) = flag(args, "--trials") {
-        options.trials = t.parse().map_err(|_| format!("bad --trials {t}"))?;
-        if options.trials == 0 {
-            return Err("--trials must be at least 1".into());
-        }
-    }
-    options.trace = args.iter().any(|a| a == "--with-tracer");
-    options.progress = args
-        .iter()
-        .any(|a| a == "--progress" || a == "-v" || a == "--verbose");
-    let out_path = flag(args, "--out").unwrap_or_else(|| "BENCH_1.json".into());
-    // `--factor` is the historical spelling of `--max-regression`.
-    let factor: f64 = flag(args, "--max-regression")
-        .or_else(|| flag(args, "--factor"))
-        .map(|s| s.parse().map_err(|_| format!("bad --max-regression {s}")))
-        .transpose()?
-        .unwrap_or(macrochip::bench::DEFAULT_MAX_REGRESSION);
-    options.max_regression = factor;
-
-    let report = macrochip::bench::run_bench_on(&fabric, &options);
-    std::fs::write(&out_path, report.to_json() + "\n")
-        .map_err(|e| format!("writing {out_path}: {e}"))?;
-    if !quiet {
-        print!("{}", report.table());
-        println!(
-            "\nwrote {out_path} (commit {}, {} trials)",
-            report.commit, report.trials
-        );
-    }
-    if profile {
-        let table = prof::report().table();
-        eprint!("{table}");
-        // The self-time table lands next to the baseline so before/after
-        // hot-site breakdowns can be diffed the same way BENCH files are.
-        let prof_path = out_path
-            .strip_suffix(".json")
-            .map(|stem| format!("{stem}.profile.txt"))
-            .unwrap_or_else(|| format!("{out_path}.profile.txt"));
-        std::fs::write(&prof_path, &table).map_err(|e| format!("writing {prof_path}: {e}"))?;
-        if !quiet {
-            println!("wrote {prof_path} (span-profiler self-time table)");
-        }
-    }
-
-    if let Some(base_path) = flag(args, "--against") {
-        let text =
-            std::fs::read_to_string(&base_path).map_err(|e| format!("reading {base_path}: {e}"))?;
-        let baseline =
-            BenchReport::from_json(&text).map_err(|e| format!("parsing {base_path}: {e}"))?;
-        let diff = macrochip::bench::compare(&report, &baseline, factor);
-        for w in &diff.warnings {
-            eprintln!("[bench] warning: {w}");
-        }
-        if !quiet {
-            for line in &diff.lines {
-                println!("{line}");
-            }
-        }
-        if !diff.passed() {
-            return Err(format!(
-                "bench regression vs {base_path}:\n  {}",
-                diff.regressions.join("\n  ")
-            ));
-        }
-        if !quiet {
-            println!("bench: within {factor}x of {base_path} on all networks");
-        }
-    }
-    Ok(())
-}
-
 /// Parses a wall-clock age: plain seconds, or `30s`, `10m`, `2h`, `7d`.
 fn parse_age(spec: &str) -> Result<std::time::Duration, String> {
     let (digits, unit) = match spec.find(|c: char| !c.is_ascii_digit()) {
@@ -1795,13 +1692,16 @@ fn parse_age(spec: &str) -> Result<std::time::Duration, String> {
         None => (spec, "s"),
     };
     let n: u64 = digits.parse().map_err(|_| format!("bad age {spec:?}"))?;
-    let seconds = match unit {
-        "s" => n,
-        "m" => n * 60,
-        "h" => n * 3_600,
-        "d" => n * 86_400,
+    let unit_seconds: u64 = match unit {
+        "s" => 1,
+        "m" => 60,
+        "h" => 3_600,
+        "d" => 86_400,
         _ => return Err(format!("bad age {spec:?} (use s, m, h or d)")),
     };
+    let seconds = n
+        .checked_mul(unit_seconds)
+        .ok_or_else(|| format!("bad age {spec:?} (too large)"))?;
     Ok(std::time::Duration::from_secs(seconds))
 }
 
@@ -1868,7 +1768,6 @@ fn main() -> ExitCode {
         Some("replay") => cmd_replay(&args),
         Some("trace-info") => cmd_trace_info(&args),
         Some("trace-transform") => cmd_trace_transform(&args),
-        Some("bench") => cmd_bench(&args),
         Some("cache") => cmd_cache(&args),
         Some("help") | None => {
             print!("{USAGE}");
@@ -1882,5 +1781,31 @@ fn main() -> ExitCode {
             eprintln!("error: {e}\n\n{USAGE}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_age;
+    use std::time::Duration;
+
+    #[test]
+    fn parse_age_accepts_each_unit_and_rejects_overflow() {
+        assert_eq!(parse_age("45"), Ok(Duration::from_secs(45)));
+        assert_eq!(parse_age("30s"), Ok(Duration::from_secs(30)));
+        assert_eq!(parse_age("10m"), Ok(Duration::from_secs(600)));
+        assert_eq!(parse_age("2h"), Ok(Duration::from_secs(7_200)));
+        assert_eq!(parse_age("7d"), Ok(Duration::from_secs(604_800)));
+        assert_eq!(
+            parse_age("18446744073709551615"),
+            Ok(Duration::from_secs(u64::MAX))
+        );
+        // 213503982334602 days wraps to about 17 hours in unchecked
+        // release arithmetic.
+        assert!(parse_age("213503982334602d").is_err());
+        assert!(parse_age("18446744073709551615m").is_err());
+        assert!(parse_age("18446744073709551616").is_err());
+        assert!(parse_age("3w").is_err());
+        assert!(parse_age("d").is_err());
     }
 }

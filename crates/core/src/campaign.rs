@@ -1074,7 +1074,9 @@ impl ResultCache {
         // filesystem clocks) evict in a stable order.
         entries.sort_by(|a, b| a.2.cmp(&b.2).then_with(|| a.0.cmp(&b.0)));
         let mut total: u64 = entries.iter().map(|(_, b, _)| b).sum();
-        let cutoff = older_than.map(|age| std::time::SystemTime::now() - age);
+        // An age older than the clock can represent leaves no cutoff, so
+        // nothing has expired.
+        let cutoff = older_than.and_then(|age| std::time::SystemTime::now().checked_sub(age));
         let mut removed = CacheStats {
             entries: 0,
             bytes: 0,
@@ -1387,11 +1389,15 @@ mod tests {
         // No bounds: nothing to do.
         let noop = cache.prune(None, None).expect("prune");
         assert_eq!(noop.entries, 0);
-        // A huge age cutoff removes nothing.
-        let young = cache
-            .prune(None, Some(std::time::Duration::from_secs(1 << 20)))
-            .expect("prune");
-        assert_eq!(young.entries, 0);
+        // A huge age cutoff removes nothing, and so does one older than
+        // the clock can represent.
+        for age in [
+            std::time::Duration::from_secs(1 << 20),
+            std::time::Duration::MAX,
+        ] {
+            let young = cache.prune(None, Some(age)).expect("prune");
+            assert_eq!(young.entries, 0);
+        }
         // Cap at two entries' worth: the two oldest go.
         let trimmed = cache.prune(Some(2 * entry_bytes), None).expect("prune");
         assert_eq!(trimmed.entries, 2);

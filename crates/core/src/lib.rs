@@ -28,10 +28,6 @@
 //! * [`replay_run`] — trace-driven experiments: capture any run into a
 //!   `.mtrc` trace and play it back through any network, bare or under a
 //!   fault plan (the §5 trace-driven comparison methodology);
-//! * [`bench`] — the standing host-performance baseline behind
-//!   `macrochip bench`: fixed-seed workloads on all five networks,
-//!   median-of-trials wall-clock and events/sec, schema-versioned
-//!   `BENCH_*.json` with regression comparison;
 //! * [`progress`] — live `--progress` status lines streamed from the
 //!   always-on [`desim::prof`] host counters.
 //!
@@ -54,11 +50,9 @@
 //! ```
 
 pub mod audit_run;
-pub mod bench;
 pub mod campaign;
 pub mod energy;
 pub mod experiment;
-pub mod json;
 pub mod manifest;
 pub mod names;
 pub mod progress;
@@ -72,7 +66,6 @@ pub mod prelude {
     pub use crate::audit_run::{
         differential_replay, run_load_point_audited, run_replay_audited, DifferentialReport,
     };
-    pub use crate::bench::{run_bench, run_bench_on, BenchOptions, BenchReport};
     pub use crate::campaign::{
         run_indexed, Campaign, CampaignOutcome, CampaignPoint, FaultSummary, PointResult,
         ResultCache,

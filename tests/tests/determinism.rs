@@ -6,7 +6,7 @@ use macrochip::prelude::*;
 use macrochip::runner::{drive, DriveLimits};
 use workloads::OpenLoopTraffic;
 
-fn open_loop_fingerprint(kind: NetworkKind, seed: u64) -> (u64, u64, u64) {
+fn open_loop_fingerprint(kind: NetworkKind, seed: u64) -> (u64, u64, u64, u64, u64) {
     let config = MacrochipConfig::scaled();
     let mut net = networks::build(kind, config);
     let mut traffic = OpenLoopTraffic::new(&config.grid, Pattern::Uniform, 0.05, 320.0, 64, seed);
@@ -14,9 +14,11 @@ fn open_loop_fingerprint(kind: NetworkKind, seed: u64) -> (u64, u64, u64) {
     drive(net.as_mut(), &mut traffic, DriveLimits::default());
     let s = net.stats();
     (
+        s.injected_packets(),
         s.delivered_packets(),
         s.delivered_bytes(),
         s.mean_latency().as_ps(),
+        net.events_processed(),
     )
 }
 

@@ -5,8 +5,8 @@
 //! profiler-off run.
 
 use desim::prof::{self, Counter, Site};
+use desim::trace::RingSink;
 use desim::{Span, Tracer};
-use macrochip::bench::{run_bench, BenchOptions};
 use macrochip::campaign::{run_point_full, CampaignPoint, PointExecOptions};
 use macrochip::prelude::*;
 use macrochip::sweep::run_load_point_traced;
@@ -39,38 +39,84 @@ fn short_options() -> SweepOptions {
     }
 }
 
+/// One short uniform open-loop run of `kind` at 5 % load, rendered as
+/// its event and packet counts, saturation flag, latencies and exported
+/// `net.*` snapshot. `traced` attaches a ring flight recorder.
+fn open_loop_snapshot(kind: NetworkKind, enabled: bool, traced: bool) -> String {
+    let config = MacrochipConfig::scaled();
+    let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
+    let was = prof::enabled();
+    prof::set_enabled(enabled);
+    let tracer = if traced {
+        Tracer::new(RingSink::new(1 << 16))
+    } else {
+        Tracer::disabled()
+    };
+    let (point, net) = run_load_point_traced(
+        networks::build(kind, config),
+        Pattern::Uniform,
+        0.05,
+        &config,
+        short_options(),
+        tracer,
+    );
+    prof::set_enabled(was);
+    let mut reg = MetricsRegistry::new();
+    reg.record_net_stats(net.stats());
+    let json = reg.snapshot().to_json();
+    desim::trace::validate_json(&json).expect("net.* snapshot is well-formed JSON");
+    let s = net.stats();
+    format!(
+        "{}|{}|{}|{}|{}|{}|{}",
+        net.events_processed(),
+        s.injected_packets(),
+        s.delivered_packets(),
+        point.saturated,
+        point.mean_latency_ns,
+        point.p99_latency_ns,
+        json
+    )
+}
+
 /// The tentpole determinism guarantee: enabling the profiler changes
-/// nothing about simulation results — the exported `net.*` snapshot is
-/// byte-identical with profiling on and off, for every network.
+/// nothing about simulation results: the event count and the exported
+/// `net.*` snapshot are byte-identical with profiling on and off, for
+/// every network.
 #[test]
 fn profiler_on_and_off_produce_byte_identical_metrics() {
-    let config = MacrochipConfig::scaled();
-    for kind in NetworkKind::FIGURE6 {
-        let snapshot = |enabled: bool| -> String {
-            let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
-            let was = prof::enabled();
-            prof::set_enabled(enabled);
-            let (point, net) = run_load_point_traced(
-                networks::build(kind, config),
-                Pattern::Uniform,
-                0.05,
-                &config,
-                short_options(),
-                Tracer::disabled(),
-            );
-            prof::set_enabled(was);
-            let mut reg = MetricsRegistry::new();
-            reg.record_net_stats(net.stats());
-            format!(
-                "{}|{}|{}",
-                point.mean_latency_ns,
-                point.p99_latency_ns,
-                reg.snapshot().to_json()
-            )
-        };
-        let off = snapshot(false);
-        let on = snapshot(true);
+    for kind in NetworkKind::ALL {
+        let off = open_loop_snapshot(kind, false, false);
+        let on = open_loop_snapshot(kind, true, false);
         assert_eq!(off, on, "{} results differ with profiling on", kind.name());
+    }
+}
+
+/// A timed open-loop run is itself deterministic: consecutive runs agree
+/// on every non-timing field (events, injected, delivered, saturation),
+/// across every network.
+#[test]
+fn bench_runs_are_deterministic_modulo_timing() {
+    for kind in NetworkKind::ALL {
+        let a = open_loop_snapshot(kind, false, false);
+        let b = open_loop_snapshot(kind, false, false);
+        assert_eq!(a, b, "{} consecutive runs differ", kind.name());
+    }
+}
+
+/// Running with the flight recorder attached changes wall-clock only,
+/// never the simulated work (the tracer-overhead measurement relies on
+/// comparing like-for-like work).
+#[test]
+fn traced_bench_does_identical_work() {
+    for kind in NetworkKind::ALL {
+        let plain = open_loop_snapshot(kind, false, false);
+        let traced = open_loop_snapshot(kind, false, true);
+        assert_eq!(
+            plain,
+            traced,
+            "{} results differ with a tracer",
+            kind.name()
+        );
     }
 }
 
@@ -130,55 +176,6 @@ fn events_processed_flows_into_host_counter() {
     );
     // Furthest sim time advanced at least to this run's end.
     assert!(prof::sim_time_ps() > 0);
-}
-
-/// The bench harness is itself deterministic: consecutive runs agree on
-/// every non-timing field, across all six benched networks.
-#[test]
-fn bench_runs_are_deterministic_modulo_timing() {
-    let config = MacrochipConfig::scaled();
-    let options = BenchOptions {
-        trials: 2,
-        sim: Span::from_ns(100),
-        drain: Span::from_us(2),
-        trace: false,
-        progress: false,
-        max_regression: macrochip::bench::DEFAULT_MAX_REGRESSION,
-    };
-    let a = run_bench(&config, &options);
-    let b = run_bench(&config, &options);
-    assert_eq!(a.networks.len(), 6);
-    for (x, y) in a.networks.iter().zip(&b.networks) {
-        assert_eq!(x.kind, y.kind);
-        assert_eq!(x.events, y.events, "{}", x.kind.name());
-        assert_eq!(x.injected, y.injected);
-        assert_eq!(x.delivered, y.delivered);
-        assert_eq!(x.saturated, y.saturated);
-    }
-    desim::trace::validate_json(&a.to_json()).expect("bench JSON well-formed");
-}
-
-/// Benching with the flight recorder attached changes wall-clock only,
-/// never the simulated work (the tracer-overhead measurement relies on
-/// comparing like-for-like work).
-#[test]
-fn traced_bench_does_identical_work() {
-    let config = MacrochipConfig::scaled();
-    let mut options = BenchOptions {
-        trials: 1,
-        sim: Span::from_ns(100),
-        drain: Span::from_us(2),
-        trace: false,
-        progress: false,
-        max_regression: macrochip::bench::DEFAULT_MAX_REGRESSION,
-    };
-    let plain = run_bench(&config, &options);
-    options.trace = true;
-    let traced = run_bench(&config, &options);
-    for (p, t) in plain.networks.iter().zip(&traced.networks) {
-        assert_eq!(p.events, t.events, "{}", p.kind.name());
-        assert_eq!(p.delivered, t.delivered);
-    }
 }
 
 proptest! {
