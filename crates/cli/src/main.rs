@@ -549,10 +549,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let pattern_arg = flag(args, "--pattern").ok_or("missing --pattern")?;
     let pattern = names::parse_pattern(&pattern_arg).ok_or("unknown pattern")?;
     let loads: Vec<f64> = match flag(args, "--loads") {
-        Some(s) => s
-            .split(',')
-            .map(|x| x.parse().map_err(|_| format!("bad load {x}")))
-            .collect::<Result<_, _>>()?,
+        Some(s) => s.split(',').map(parse_load).collect::<Result<_, _>>()?,
         None => macrochip::sweep::figure6_loads(pattern),
     };
     let jobs = JobOpts::parse(args)?;
@@ -854,7 +851,7 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
     let pattern_arg = flag(args, "--pattern").unwrap_or_else(|| "uniform".into());
     let pattern = names::parse_pattern(&pattern_arg).ok_or("unknown pattern")?;
     let load: f64 = flag(args, "--load")
-        .map(|s| s.parse().map_err(|_| "bad --load"))
+        .map(|s| parse_load(&s))
         .transpose()?
         .unwrap_or(0.05);
     let spec = flag(args, "--faults").unwrap_or_else(|| DEFAULT_FAULT_SPEC.into());
@@ -1274,7 +1271,7 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         let pattern_arg = flag(args, "--pattern").ok_or("missing --pattern (or --workload)")?;
         let pattern = names::parse_pattern(&pattern_arg).ok_or("unknown pattern")?;
         let load: f64 = flag(args, "--load")
-            .map(|s| s.parse().map_err(|_| "bad --load"))
+            .map(|s| parse_load(&s))
             .transpose()?
             .unwrap_or(0.05);
         let (sim, drain) = if args.iter().any(|a| a == "--duration-short") {
@@ -1685,6 +1682,16 @@ fn cmd_trace_transform(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Parses an offered load (a fraction of peak bandwidth). Open-loop
+/// traffic needs a positive, finite rate, so anything else is a bad flag
+/// rather than a panic inside the run.
+fn parse_load(spec: &str) -> Result<f64, String> {
+    spec.parse::<f64>()
+        .ok()
+        .filter(|load| *load > 0.0 && load.is_finite())
+        .ok_or_else(|| format!("bad load {spec:?} (must be positive and finite)"))
+}
+
 /// Parses a wall-clock age: plain seconds, or `30s`, `10m`, `2h`, `7d`.
 fn parse_age(spec: &str) -> Result<std::time::Duration, String> {
     let (digits, unit) = match spec.find(|c: char| !c.is_ascii_digit()) {
@@ -1786,8 +1793,21 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_age;
+    use super::{parse_age, parse_load};
     use std::time::Duration;
+
+    #[test]
+    fn parse_load_accepts_positive_finite_fractions_only() {
+        assert_eq!(parse_load("0.05"), Ok(0.05));
+        assert_eq!(parse_load("1.0"), Ok(1.0));
+        assert_eq!(parse_load("1e-4"), Ok(1e-4));
+        for bad in [
+            "0", "-0", "-0.1", "nan", "NaN", "inf", "-inf", "", "x", "0.1,",
+        ] {
+            let err = parse_load(bad).expect_err(bad);
+            assert!(err.starts_with("bad load"), "{bad}: {err}");
+        }
+    }
 
     #[test]
     fn parse_age_accepts_each_unit_and_rejects_overflow() {

@@ -7,8 +7,8 @@
 //!   durations with checked, unit-safe arithmetic;
 //! * [`EventQueue`] — a priority queue with FIFO tie-breaking, so
 //!   same-timestamp events pop in insertion order and simulations are fully
-//!   deterministic. It is a calendar/bucket queue tuned to the picosecond
-//!   tick, property-tested pop for pop against a `BinaryHeap` oracle;
+//!   deterministic. It is a binary heap on a packed `(time, seq)` key,
+//!   property-tested pop for pop against a `BinaryHeap` tuple oracle;
 //! * [`SimRng`] — a seeded random-number wrapper so every run is
 //!   reproducible;
 //! * [`stats`] — counters, running means, log-scale latency histograms and

@@ -50,7 +50,7 @@ pub enum Site {
     /// One driver-loop iteration: pick the next instant, advance, drain,
     /// re-offer stalls, inject. Parent of most other sites.
     Dispatch,
-    /// `EventQueue::pop` / `pop_due` — the calendar-queue pop itself.
+    /// `EventQueue::pop` / `pop_due` — the heap pop itself.
     QueuePop,
     /// `Network::advance` — the architecture's internal event dispatch.
     NetworkStep,

@@ -14,7 +14,7 @@
 //! and the router-energy model both consume.
 //!
 //! The whole fabric runs inside the caller's single event loop: the
-//! wrapper owns one calendar queue for board-link events, and `advance`
+//! wrapper owns one event queue for board-link events, and `advance`
 //! walks the board instant by instant, each at its own timestamp —
 //! board events first, then every chip due at that instant in board
 //! order. Because that walk is time-faithful, the fabric supports batched
