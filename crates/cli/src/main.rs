@@ -775,6 +775,7 @@ fn cmd_coherent(args: &[String]) -> Result<(), String> {
         .unwrap_or(40);
     let spec = names::parse_workload(&flag(args, "--workload").ok_or("missing --workload")?, ops)
         .ok_or("unknown workload")?;
+    spec.check_grid(&config.grid)?;
     let kinds = names::parse_networks(&flag(args, "--network").ok_or("missing --network")?)
         .ok_or("unknown network")?;
     let audit = args.iter().any(|a| a == "--audit");
@@ -1246,6 +1247,7 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
             .transpose()?
             .unwrap_or(40);
         let spec = names::parse_workload(&name, ops).ok_or("unknown workload")?;
+        spec.check_grid(&config.grid)?;
         let meta = TraceMeta {
             grid_side,
             seed,
@@ -1793,8 +1795,33 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_age, parse_load};
+    use super::{cmd_capture, cmd_coherent, parse_age, parse_load};
     use std::time::Duration;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn coherent_refuses_application_kernels_beyond_64_sites() {
+        let err = cmd_coherent(&args(
+            "coherent --workload Radix --network p2p --side 16 --ops 5",
+        ))
+        .expect_err("a 256-site grid overflows the directory's sharer bits");
+        assert!(err.contains("at most 64 sites"), "{err}");
+    }
+
+    #[test]
+    fn capture_refuses_application_kernels_beyond_64_sites() {
+        let out = std::env::temp_dir().join(format!("app-reject-{}.mtrc", std::process::id()));
+        let line = format!(
+            "capture --workload Barnes --network token --side 9 --ops 5 --out {}",
+            out.display()
+        );
+        let err = cmd_capture(&args(&line)).expect_err("81 sites overflow the sharer bits");
+        assert!(err.contains("at most 64 sites"), "{err}");
+        assert!(!out.exists(), "a refused capture writes no trace");
+    }
 
     #[test]
     fn parse_load_accepts_positive_finite_fractions_only() {

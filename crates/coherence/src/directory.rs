@@ -7,6 +7,10 @@
 
 use netcore::{FxHashMap, SiteId};
 
+/// The most sites a directory can track: sharers are one bit per site of
+/// a `u64`. Larger grids cannot run directory-backed workloads.
+pub const MAX_SITES: usize = 64;
+
 /// The sharing state of one line at its home directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DirEntry {

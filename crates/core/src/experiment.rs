@@ -8,11 +8,12 @@
 //! behind Figures 9 and 10.
 
 use crate::runner::{drive_observed, DriveLimits};
+use coherence::directory::MAX_SITES;
 use coherence::ops::OpSource;
 use coherence::{CoherenceEngine, EngineConfig, OpStats};
 use desim::{Span, Time, Tracer};
 use netcore::audit::{AuditReport, Auditor};
-use netcore::{MacrochipConfig, Network, NetworkKind, Packet};
+use netcore::{Grid, MacrochipConfig, Network, NetworkKind, Packet};
 use std::cell::RefCell;
 use std::rc::Rc;
 use workloads::{AppProfile, AppWorkload, Pattern, SharingMix, SyntheticOpSource};
@@ -41,6 +42,25 @@ impl WorkloadSpec {
             WorkloadSpec::Synthetic { pattern, mix, .. } => {
                 format!("{}{}", pattern.name(), mix.suffix())
             }
+        }
+    }
+
+    /// Checks that this workload can run on `grid`.
+    ///
+    /// # Errors
+    ///
+    /// Application kernels keep real directory state, whose sharer
+    /// bit-vectors address at most [`MAX_SITES`] sites; on a larger grid
+    /// they are refused. Synthetic workloads run at any size.
+    pub fn check_grid(&self, grid: &Grid) -> Result<(), String> {
+        match self {
+            WorkloadSpec::App(p) if grid.sites() > MAX_SITES => Err(format!(
+                "application kernel {} tracks directory sharers for at most {MAX_SITES} \
+                 sites, but the grid has {}; use --side 8 or smaller, or a synthetic workload",
+                p.name,
+                grid.sites()
+            )),
+            _ => Ok(()),
         }
     }
 
@@ -310,6 +330,18 @@ mod tests {
             mix: SharingMix::LessSharing,
             ops_per_core: 5,
         }
+    }
+
+    #[test]
+    fn application_kernels_fit_only_grids_of_at_most_64_sites() {
+        let radix = WorkloadSpec::App(AppProfile::suite()[0]);
+        assert!(radix.check_grid(&Grid::new(8)).is_ok());
+        let err = radix.check_grid(&Grid::new(16)).expect_err("256 sites");
+        assert!(err.contains("at most 64 sites"), "{err}");
+        // Synthetic workloads keep no directory and run at any size.
+        assert!(small_synth(Pattern::Uniform)
+            .check_grid(&Grid::new(16))
+            .is_ok());
     }
 
     #[test]

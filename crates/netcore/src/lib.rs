@@ -5,7 +5,9 @@
 //! * [`SiteId`] and [`Grid`] — the 8×8 site address space (§3);
 //! * [`Packet`] and [`MessageKind`] — what moves through a network;
 //! * [`MacrochipConfig`] — the simulated configuration (paper Table 4);
-//! * [`TxChannel`] — a serializing optical channel with a bounded queue;
+//! * [`QueueArena`] — many FIFOs pooled in one node vector, and
+//!   [`ChannelBank`] — a network's serializing optical channels with
+//!   bounded queues, built on the same pool;
 //! * [`Network`] — the trait every architecture implements, so the
 //!   experiment harness can drive them interchangeably;
 //! * [`NetStats`] — injection/delivery/latency accounting, including the
@@ -24,6 +26,7 @@
 //! assert!((config.site_bandwidth_bytes_per_ns() - 320.0).abs() < 1e-9);
 //! ```
 
+mod arena;
 pub mod audit;
 mod channel;
 mod config;
@@ -38,8 +41,9 @@ pub mod slab;
 pub mod stats;
 mod traffic;
 
+pub use arena::{Drain, QueueArena};
 pub use audit::{AuditReport, AuditViolation, Auditor};
-pub use channel::TxChannel;
+pub use channel::ChannelBank;
 pub use config::MacrochipConfig;
 pub use fabric::{FabricConfig, InterChipLinkConfig};
 pub use fault::{FaultResponse, NetFault};

@@ -15,13 +15,15 @@
 //! the behaviour behind the paper's 2.5%-of-peak sustained bandwidth
 //! (§6.1). Gateways sustain a small number of concurrent circuits
 //! ([`MAX_CIRCUITS_PER_GATEWAY`]).
+//!
+//! The control links are one [`netcore::ChannelBank`]; the per-site
+//! source and destination wait queues are two [`netcore::QueueArena`]s.
 
 use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
 use netcore::{
-    FaultResponse, FxHashMap, FxHashSet, MacrochipConfig, NetFault, NetStats, Network, NetworkKind,
-    Packet, PacketRef, PacketSlab, SiteId, SlabStats, TxChannel,
+    ChannelBank, FaultResponse, FxHashMap, FxHashSet, MacrochipConfig, NetFault, NetStats, Network,
+    NetworkKind, Packet, PacketRef, PacketSlab, QueueArena, SiteId, SlabStats,
 };
-use std::collections::VecDeque;
 
 /// Wavelengths per data circuit (128 × 2.5 GB/s = 320 GB/s).
 pub const LAMBDAS_PER_CIRCUIT: usize = 128;
@@ -90,14 +92,18 @@ enum Ev {
 /// ```
 pub struct CircuitSwitchedNetwork {
     config: MacrochipConfig,
-    /// Directed control links: 4 per site (+x, −x, +y, −y). Setup
-    /// messages ride them as bare circuit ids serialized at
-    /// [`SETUP_BYTES`] — all routing state lives in [`Self::circuits`].
-    ctrl_links: Vec<TxChannel<u64>>,
+    /// Directed control links: 4 per site (+x, −x, +y, −y), indexed
+    /// `site * 4 + direction`. Setup messages ride them as bare circuit
+    /// ids serialized at [`SETUP_BYTES`] — all routing state lives in
+    /// [`Self::circuits`].
+    ctrl_links: ChannelBank<u64>,
     out_active: Vec<usize>,
     in_active: Vec<usize>,
-    src_wait: Vec<VecDeque<PacketRef>>,
-    dst_wait: Vec<VecDeque<u64>>,
+    /// Per source site: packets waiting for a gateway slot.
+    src_wait: QueueArena<PacketRef>,
+    /// Per destination site: circuits whose setup arrived while its
+    /// gateway was full.
+    dst_wait: QueueArena<u64>,
     circuits: FxHashMap<u64, Circuit>,
     /// Killed torus segments, stored in both directions (a waveguide cut
     /// takes out the whole segment); setup routing detours around them.
@@ -162,13 +168,11 @@ impl CircuitSwitchedNetwork {
         CircuitSwitchedNetwork {
             config,
             // Deep control queues: contention appears as queueing delay.
-            ctrl_links: (0..sites * 4)
-                .map(|_| TxChannel::new(ctrl_bw, 1024))
-                .collect(),
+            ctrl_links: ChannelBank::new(sites * 4, ctrl_bw, 1024),
             out_active: vec![0; sites],
             in_active: vec![0; sites],
-            src_wait: (0..sites).map(|_| VecDeque::new()).collect(),
-            dst_wait: (0..sites).map(|_| VecDeque::new()).collect(),
+            src_wait: QueueArena::new(sites),
+            dst_wait: QueueArena::new(sites),
             circuits: FxHashMap::default(),
             dead_links: FxHashSet::default(),
             hop_delay: config.layout.hop_delay(),
@@ -261,7 +265,7 @@ impl CircuitSwitchedNetwork {
 
     /// True when source `src`'s setup wait queue refuses new packets.
     fn src_wait_full(&self, src: usize) -> bool {
-        self.src_wait[src].len() >= self.config.queue_capacity * 4
+        self.src_wait.len(src) >= self.config.queue_capacity * 4
     }
 
     /// Sends the circuit's setup message one hop onward from `from`.
@@ -272,8 +276,8 @@ impl CircuitSwitchedNetwork {
         let dst = c.dst;
         let dir = self.next_dir(from, dst);
         let link = self.link_index(from, dir);
-        self.ctrl_links[link]
-            .try_enqueue(circuit, SETUP_BYTES)
+        self.ctrl_links
+            .try_enqueue(link, circuit, SETUP_BYTES)
             .expect("control queues are effectively unbounded");
         self.pump_ctrl(link, now);
     }
@@ -281,7 +285,7 @@ impl CircuitSwitchedNetwork {
     fn pump_ctrl(&mut self, link: usize, now: Time) {
         let site = SiteId::from_index(link / 4);
         let dir = link % 4;
-        if let Some((circuit, finish)) = self.ctrl_links[link].begin_if_ready(now) {
+        if let Some((circuit, finish)) = self.ctrl_links.begin_if_ready(link, now) {
             let next = self.neighbor(site, dir);
             self.events.push(finish, Ev::CtrlTxDone { link });
             self.events.push(
@@ -294,7 +298,7 @@ impl CircuitSwitchedNetwork {
     /// Starts new circuits from `src` while the gateway has capacity.
     fn try_start(&mut self, src: SiteId, now: Time) {
         while self.out_active[src.index()] < self.gateway_limit {
-            let Some(head) = self.src_wait[src.index()].pop_front() else {
+            let Some(head) = self.src_wait.pop_front(src.index()) else {
                 return;
             };
             let packet = self.slab.get_mut(head);
@@ -304,17 +308,20 @@ impl CircuitSwitchedNetwork {
             packet.arb_start = Some(now);
             let mut packets = vec![head];
             // Batch further queued packets for the same destination onto
-            // this circuit (no effect at the paper's batch limit of 1).
+            // this circuit (no effect at the paper's batch limit of 1):
+            // one pass rotates the queue, taking matches up to the limit
+            // and re-queueing the rest in their order.
             if self.batch_limit > 1 {
-                let mut i = 0;
-                while i < self.src_wait[src.index()].len() && packets.len() < self.batch_limit {
-                    let extra = self.src_wait[src.index()][i];
-                    if self.slab.get(extra).dst == dst {
-                        self.src_wait[src.index()].remove(i).expect("index checked");
+                for _ in 0..self.src_wait.len(src.index()) {
+                    let extra = self
+                        .src_wait
+                        .pop_front(src.index())
+                        .expect("length checked");
+                    if packets.len() < self.batch_limit && self.slab.get(extra).dst == dst {
                         self.slab.get_mut(extra).arb_start = Some(now);
                         packets.push(extra);
                     } else {
-                        i += 1;
+                        self.src_wait.push_back(src.index(), extra);
                     }
                 }
             }
@@ -356,7 +363,7 @@ impl CircuitSwitchedNetwork {
             if self.in_active[dst.index()] < self.gateway_limit {
                 self.grant(circuit, now);
             } else {
-                self.dst_wait[dst.index()].push_back(circuit);
+                self.dst_wait.push_back(dst.index(), circuit);
             }
         } else {
             self.tracer.emit(now, || TraceEvent::Hop {
@@ -461,7 +468,7 @@ impl CircuitSwitchedNetwork {
         self.out_active[c.src.index()] -= 1;
         self.in_active[c.dst.index()] -= 1;
         self.try_start(c.src, now);
-        if let Some(waiting) = self.dst_wait[c.dst.index()].pop_front() {
+        if let Some(waiting) = self.dst_wait.pop_front(c.dst.index()) {
             self.grant(waiting, now);
         }
     }
@@ -506,7 +513,7 @@ impl Network for CircuitSwitchedNetwork {
             bytes: packet.bytes,
         });
         let pref = self.slab.insert(packet);
-        self.src_wait[src.index()].push_back(pref);
+        self.src_wait.push_back(src.index(), pref);
         self.stats.on_inject(now);
         self.try_start(src, now);
         Ok(())
@@ -604,15 +611,17 @@ impl Network for CircuitSwitchedNetwork {
             }
             NetFault::LaserLoss { site } => {
                 for dir in 0..4 {
-                    self.ctrl_links[site.index() * 4 + dir]
-                        .set_bytes_per_ns(self.config.lambda_bytes_per_ns * 0.5);
+                    self.ctrl_links.set_bytes_per_ns(
+                        site.index() * 4 + dir,
+                        self.config.lambda_bytes_per_ns * 0.5,
+                    );
                 }
                 FaultResponse::handled("half-control-bandwidth")
             }
             NetFault::LaserRestore { site } => {
                 for dir in 0..4 {
-                    self.ctrl_links[site.index() * 4 + dir]
-                        .set_bytes_per_ns(self.config.lambda_bytes_per_ns);
+                    self.ctrl_links
+                        .set_bytes_per_ns(site.index() * 4 + dir, self.config.lambda_bytes_per_ns);
                 }
                 FaultResponse::handled("full-control-bandwidth")
             }
@@ -710,7 +719,7 @@ mod tests {
         run_until_idle(&mut n);
         assert_eq!(n.drain_delivered().len(), 8);
         assert_eq!(n.in_active[dst.index()], 0);
-        assert!(n.dst_wait[dst.index()].is_empty());
+        assert!(n.dst_wait.is_empty(dst.index()));
     }
 
     #[test]

@@ -39,11 +39,15 @@
 //! parks in a per-chip retry queue and is re-offered after that chip's
 //! next event — the chip is only ever full while it has work in flight,
 //! so the retry always drains.
+//!
+//! The board links are one [`netcore::ChannelBank`]. The per-chip retry
+//! queues are plain deques: there are only `M²` of them, they hold whole
+//! packets, and a refused retry goes back to the front.
 
 use desim::{Span, Time, TraceEvent, Tracer};
 use netcore::{
-    FabricConfig, FaultResponse, FxHashMap, MacrochipConfig, NetFault, NetStats, Network,
-    NetworkKind, Packet, SiteId, SlabStats, TxChannel,
+    ChannelBank, FabricConfig, FaultResponse, FxHashMap, MacrochipConfig, NetFault, NetStats,
+    Network, NetworkKind, Packet, SiteId, SlabStats,
 };
 use std::collections::VecDeque;
 
@@ -85,7 +89,7 @@ pub struct FabricNetwork {
     /// the *chip* config and addressing chip-local sites.
     chips: Vec<Box<dyn Network>>,
     /// Gateway-to-gateway board links, indexed `src_chip * k + dst_chip`.
-    links: Vec<TxChannel<u64>>,
+    links: ChannelBank<u64>,
     /// Per-link admission count (reserved slots not yet transmitting);
     /// bounded by `queue_capacity` — the gateway buffer limit.
     link_load: Vec<usize>,
@@ -119,9 +123,7 @@ impl FabricNetwork {
             global: fabric.global_config(),
             kind,
             chips: (0..k).map(|_| crate::build(kind, fabric.chip)).collect(),
-            links: (0..k * k)
-                .map(|_| TxChannel::new(link_bw, fabric.chip.queue_capacity))
-                .collect(),
+            links: ChannelBank::new(k * k, link_bw, fabric.chip.queue_capacity),
             link_load: vec![0; k * k],
             link_bw,
             transit: FxHashMap::default(),
@@ -198,7 +200,7 @@ impl FabricNetwork {
 
     /// Starts the link's next transmission if it is idle.
     fn pump_link(&mut self, link: usize, now: Time) {
-        if let Some((id, finish)) = self.links[link].begin_if_ready(now) {
+        if let Some((id, finish)) = self.links.begin_if_ready(link, now) {
             self.link_load[link] -= 1;
             let (src_chip, dst_chip) = {
                 let tr = self.transit.get_mut(&id).expect("board packet tracked");
@@ -247,8 +249,8 @@ impl FabricNetwork {
             let (sc, dc, bytes) = (tr.src_chip, tr.dst_chip, leg.bytes);
             self.emit_relay(id, gateway, at);
             let link = self.link_index(sc, dc);
-            self.links[link]
-                .try_enqueue(id, bytes)
+            self.links
+                .try_enqueue(link, id, bytes)
                 .unwrap_or_else(|_| panic!("admission reserved a full board link"));
             self.pump_link(link, at);
         } else {
@@ -432,8 +434,8 @@ impl Network for FabricNetwork {
                     tx_end: None,
                 },
             );
-            self.links[link]
-                .try_enqueue(packet.id.0, packet.bytes)
+            self.links
+                .try_enqueue(link, packet.id.0, packet.bytes)
                 .expect("checked not full");
             self.stats.on_inject(now);
             if let Some((id, src, dst, bytes)) = trace_fields {
@@ -578,10 +580,10 @@ impl Network for FabricNetwork {
             {
                 let link = self.link_index(self.fabric.chip_of(src), self.fabric.chip_of(dst));
                 if matches!(fault, NetFault::LinkKill { .. }) {
-                    self.links[link].set_bytes_per_ns(self.link_bw / 2.0);
+                    self.links.set_bytes_per_ns(link, self.link_bw / 2.0);
                     FaultResponse::handled("spare-wavelength")
                 } else {
-                    self.links[link].set_bytes_per_ns(self.link_bw);
+                    self.links.set_bytes_per_ns(link, self.link_bw);
                     FaultResponse::handled("full-bandwidth")
                 }
             }

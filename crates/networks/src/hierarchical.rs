@@ -25,13 +25,15 @@
 //! not grant a bridge-bound transmission while that bridge link's queue
 //! is full, so ring backpressure propagates to injection instead of
 //! growing unbounded bridge buffers.
+//!
+//! The bridge links are one [`netcore::ChannelBank`] and the cluster
+//! rings' FIFOs one [`netcore::QueueArena`].
 
 use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
 use netcore::{
-    FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet, PacketRef,
-    PacketSlab, SiteId, SlabStats, TxChannel,
+    ChannelBank, FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet,
+    PacketRef, PacketSlab, QueueArena, SiteId, SlabStats,
 };
-use std::collections::VecDeque;
 
 /// Point-to-point wavelengths provisioned per in-cluster destination;
 /// a c×c cluster's shared bundle carries `2·c²` wavelengths (80 GB/s
@@ -53,11 +55,11 @@ enum Ev {
     Deliver { packet: PacketRef },
 }
 
-/// One cluster's shared broadcast ring: an exclusive grant, a FIFO of
-/// pending transmissions, and the bundle bandwidth.
+/// One cluster's shared broadcast ring: an exclusive grant and the
+/// bundle bandwidth. Its FIFO of pending transmissions lives in the
+/// network's `ring_queues` arena.
 #[derive(Debug)]
 struct Ring {
-    queue: VecDeque<PacketRef>,
     busy: bool,
     bytes_per_ns: f64,
 }
@@ -89,8 +91,10 @@ pub struct HierarchicalNetwork {
     /// to the first), in site pitches.
     wrap_pitches: usize,
     rings: Vec<Ring>,
+    /// Per-cluster ring FIFOs, indexed by cluster.
+    ring_queues: QueueArena<PacketRef>,
     /// Bridge-to-bridge links, indexed `src_cluster * k + dst_cluster`.
-    links: Vec<TxChannel<PacketRef>>,
+    links: ChannelBank<PacketRef>,
     /// Per-link admission count: packets granted toward (or injected at)
     /// a bridge that have not yet begun transmitting on its link. Bounded
     /// by `queue_capacity`, this is the bridge-buffer occupancy limit —
@@ -142,14 +146,12 @@ impl HierarchicalNetwork {
             wrap_pitches,
             rings: (0..clusters)
                 .map(|_| Ring {
-                    queue: VecDeque::new(),
                     busy: false,
                     bytes_per_ns: ring_bw,
                 })
                 .collect(),
-            links: (0..clusters * clusters)
-                .map(|_| TxChannel::new(link_bw, config.queue_capacity))
-                .collect(),
+            ring_queues: QueueArena::new(clusters),
+            links: ChannelBank::new(clusters * clusters, link_bw, config.queue_capacity),
             link_load: vec![0; clusters * clusters],
             prop: crate::geom::PropByHops::new(&config.layout),
             ring_bw,
@@ -210,7 +212,7 @@ impl HierarchicalNetwork {
 
     /// True when cluster `cluster`'s ring queue refuses new packets.
     fn ring_full(&self, cluster: usize) -> bool {
-        self.rings[cluster].queue.len() >= self.config.queue_capacity
+        self.ring_queues.len(cluster) >= self.config.queue_capacity
     }
 
     /// True when bridge link `link`'s buffer is full: it refuses packets
@@ -226,7 +228,7 @@ impl HierarchicalNetwork {
         if self.rings[cluster].busy {
             return;
         }
-        let Some(&pref) = self.rings[cluster].queue.front() else {
+        let Some(&pref) = self.ring_queues.front(cluster) else {
             return;
         };
         let (src, dst, bytes) = {
@@ -251,7 +253,7 @@ impl HierarchicalNetwork {
             // buffer space (LinkFree re-pumps this ring).
             return;
         }
-        self.rings[cluster].queue.pop_front();
+        self.ring_queues.pop_front(cluster);
         self.rings[cluster].busy = true;
         if relay {
             let link = self.link_index(sc, dc);
@@ -293,7 +295,7 @@ impl HierarchicalNetwork {
 
     /// Starts the link's next transmission if it is idle.
     fn pump_link(&mut self, link: usize, now: Time) {
-        if let Some((pref, finish)) = self.links[link].begin_if_ready(now) {
+        if let Some((pref, finish)) = self.links.begin_if_ready(link, now) {
             self.link_load[link] -= 1;
             let (src_c, dst_c) = (link / self.rings.len(), link % self.rings.len());
             let packet = self.slab.get_mut(pref);
@@ -354,8 +356,8 @@ impl HierarchicalNetwork {
         let bridge = self.bridge_site(sc);
         self.relay_at(pref, bridge, at);
         let link = self.link_index(sc, dc);
-        self.links[link]
-            .try_enqueue(pref, bytes)
+        self.links
+            .try_enqueue(link, pref, bytes)
             .unwrap_or_else(|_| panic!("ring granted into a full bridge link"));
         self.pump_link(link, at);
     }
@@ -370,7 +372,7 @@ impl HierarchicalNetwork {
             return;
         }
         self.relay_at(pref, bridge, at);
-        self.rings[dc].queue.push_back(pref);
+        self.ring_queues.push_back(dc, pref);
         self.pump_ring(dc, at);
     }
 }
@@ -432,8 +434,8 @@ impl Network for HierarchicalNetwork {
                 let p = self.slab.get_mut(pref);
                 p.arb_start = Some(now);
             }
-            self.links[link]
-                .try_enqueue(pref, bytes)
+            self.links
+                .try_enqueue(link, pref, bytes)
                 .expect("checked not full");
             self.stats.on_inject(now);
             if let Some((id, src, dst, bytes)) = trace_fields {
@@ -452,7 +454,7 @@ impl Network for HierarchicalNetwork {
             return Err(packet);
         }
         let pref = self.slab.insert(packet);
-        self.rings[sc].queue.push_back(pref);
+        self.ring_queues.push_back(sc, pref);
         self.stats.on_inject(now);
         if let Some((id, src, dst, bytes)) = trace_fields {
             self.tracer.emit(now, || TraceEvent::Inject {
@@ -562,7 +564,7 @@ impl Network for HierarchicalNetwork {
                     self.rings[sc].bytes_per_ns = self.ring_bw / 2.0;
                 } else {
                     let link = self.link_index(sc, dc);
-                    self.links[link].set_bytes_per_ns(self.link_bw / 2.0);
+                    self.links.set_bytes_per_ns(link, self.link_bw / 2.0);
                 }
                 FaultResponse::handled("spare-wavelength")
             }
@@ -572,7 +574,7 @@ impl Network for HierarchicalNetwork {
                     self.rings[sc].bytes_per_ns = self.ring_bw;
                 } else {
                     let link = self.link_index(sc, dc);
-                    self.links[link].set_bytes_per_ns(self.link_bw);
+                    self.links.set_bytes_per_ns(link, self.link_bw);
                 }
                 FaultResponse::handled("full-bandwidth")
             }

@@ -11,11 +11,15 @@
 //! Forwarded bytes are tagged on the packet (`routed_bytes`) so the energy
 //! model can charge the paper's conservative 60 pJ/byte router energy
 //! (§6.3, Figure 9).
+//!
+//! Only peer pairs have channels: 2(side−1) per site, held in one
+//! [`netcore::ChannelBank`] indexed compactly per site (7,680 channels at
+//! side 16, where a dense S² map would hold 65,536 slots).
 
 use desim::{EventQueue, Time, TraceEvent, Tracer};
 use netcore::{
-    FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet, PacketRef,
-    PacketSlab, SiteId, SlabStats, TxChannel,
+    ChannelBank, FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet,
+    PacketRef, PacketSlab, SiteId, SlabStats,
 };
 
 /// Wavelengths per peer channel (8 × 2.5 GB/s = 20 GB/s).
@@ -49,8 +53,9 @@ pub enum RoutingPolicy {
 
 #[derive(Debug)]
 enum Ev {
-    /// A channel finished serializing; start its next packet.
-    TxDone { channel: usize },
+    /// The `src -> hop` channel finished serializing; start its next
+    /// packet.
+    TxDone { src: SiteId, hop: SiteId },
     /// A packet arrived at a site: the final destination or the forwarder.
     Arrive { packet: PacketRef, at_site: SiteId },
     /// The router at `at` processed the packet; enqueue the second hop.
@@ -79,11 +84,12 @@ enum Ev {
 pub struct LimitedP2pNetwork {
     config: MacrochipConfig,
     policy: RoutingPolicy,
-    /// Dense S×S map; `None` where no direct channel exists.
-    channels: Vec<Option<TxChannel<PacketRef>>>,
+    /// The 2(side−1) peer channels of every site, indexed compactly (see
+    /// [`Self::channel_index`]).
+    channels: ChannelBank<PacketRef>,
     prop: crate::geom::PropByHops,
     slab: PacketSlab,
-    /// Dense S×S map of killed links (same indexing as `channels`).
+    /// Killed links, indexed like `channels`.
     dead: Vec<bool>,
     /// Set by [`Network::apply_fault`]: a killed or repaired
     /// link re-routes packets to another first hop, so admission-queue
@@ -107,23 +113,13 @@ impl LimitedP2pNetwork {
         config.validate();
         let sites = config.grid.sites();
         let bw = config.channel_bytes_per_ns(LAMBDAS_PER_CHANNEL);
-        let mut channels = Vec::with_capacity(sites * sites);
-        for s in 0..sites {
-            for d in 0..sites {
-                let (s, d) = (SiteId::from_index(s), SiteId::from_index(d));
-                channels.push(if config.grid.are_peers(s, d) {
-                    Some(TxChannel::new(bw, config.queue_capacity))
-                } else {
-                    None
-                });
-            }
-        }
+        let channels = sites * Self::peers_per_site(&config);
         LimitedP2pNetwork {
             config,
             policy,
-            dead: vec![false; channels.len()],
+            dead: vec![false; channels],
             faulted: false,
-            channels,
+            channels: ChannelBank::new(channels, bw, config.queue_capacity),
             prop: crate::geom::PropByHops::new(&config.layout),
             slab: PacketSlab::new(),
             events: EventQueue::new(),
@@ -142,12 +138,7 @@ impl LimitedP2pNetwork {
             RoutingPolicy::RowFirst => row_first,
             RoutingPolicy::ColumnFirst => col_first,
             RoutingPolicy::Adaptive => {
-                let q = |hop: SiteId| {
-                    self.channels[self.channel_index(src, hop)]
-                        .as_ref()
-                        .expect("first hops are peers")
-                        .queued()
-                };
+                let q = |hop: SiteId| self.channels.queued(self.channel_index(src, hop));
                 if q(col_first) < q(row_first) {
                     col_first
                 } else {
@@ -157,14 +148,30 @@ impl LimitedP2pNetwork {
         }
     }
 
+    /// Direct channels per site: one to each row peer and column peer.
+    fn peers_per_site(config: &MacrochipConfig) -> usize {
+        2 * (config.grid.side() - 1)
+    }
+
+    /// Index of the peer channel `src -> dst`. Site `src` owns indices
+    /// `src * 2(side−1) ..`: first its row peers by column, then its
+    /// column peers by row, each skipping `src` itself.
     fn channel_index(&self, src: SiteId, dst: SiteId) -> usize {
-        src.index() * self.config.grid.sites() + dst.index()
+        let g = self.config.grid;
+        debug_assert!(g.are_peers(src, dst), "no channel {src} -> {dst}");
+        let (sx, sy) = g.coord(src);
+        let (dx, dy) = g.coord(dst);
+        let peer = if sy == dy {
+            dx - usize::from(dx > sx)
+        } else {
+            g.side() - 1 + dy - usize::from(dy > sy)
+        };
+        src.index() * Self::peers_per_site(&self.config) + peer
     }
 
     /// True when a direct optical channel `a -> b` exists and is alive.
     fn live(&self, a: SiteId, b: SiteId) -> bool {
-        let idx = self.channel_index(a, b);
-        self.channels[idx].is_some() && !self.dead[idx]
+        self.config.grid.are_peers(a, b) && !self.dead[self.channel_index(a, b)]
     }
 
     /// The first optical hop toward `dst`, routing electronically around
@@ -212,14 +219,11 @@ impl LimitedP2pNetwork {
         });
     }
 
-    fn pump(&mut self, channel: usize, now: Time) {
-        let sites = self.config.grid.sites();
-        let src = SiteId::from_index(channel / sites);
-        let hop_dst = SiteId::from_index(channel % sites);
-        let Some(ch) = self.channels[channel].as_mut() else {
-            return;
-        };
-        if let Some((pref, finish)) = ch.begin_if_ready(now) {
+    /// Starts the `src -> hop_dst` channel's next transmission if it is
+    /// idle.
+    fn pump(&mut self, src: SiteId, hop_dst: SiteId, now: Time) {
+        let channel = self.channel_index(src, hop_dst);
+        if let Some((pref, finish)) = self.channels.begin_if_ready(channel, now) {
             let packet = self.slab.get_mut(pref);
             if hop_dst == packet.dst {
                 // Final optical hop: the wire portion of the trip starts.
@@ -232,7 +236,7 @@ impl LimitedP2pNetwork {
             let prop = self
                 .prop
                 .delay(self.config.grid.coord(src), self.config.grid.coord(hop_dst));
-            self.events.push(finish, Ev::TxDone { channel });
+            self.events.push(finish, Ev::TxDone { src, hop: hop_dst });
             self.events.push(
                 finish + prop,
                 Ev::Arrive {
@@ -276,19 +280,17 @@ impl LimitedP2pNetwork {
             at: at.index(),
         });
         let idx = self.channel_index(at, hop);
-        let retry_at = {
-            let ch = self.channels[idx]
-                .as_mut()
-                .expect("routed hops follow existing channels");
-            match ch.try_enqueue(pref, bytes) {
-                Ok(()) => None,
-                // Output buffer full: the router holds the packet and
-                // retries when the channel frees a slot.
-                Err(p) => Some((ch.busy_until().max(t + self.config.cycle()), p)),
-            }
+        let retry_at = match self.channels.try_enqueue(idx, pref, bytes) {
+            Ok(()) => None,
+            // Output buffer full: the router holds the packet and
+            // retries when the channel frees a slot.
+            Err(p) => Some((
+                self.channels.busy_until(idx).max(t + self.config.cycle()),
+                p,
+            )),
         };
         match retry_at {
-            None => self.pump(idx, t),
+            None => self.pump(at, hop, t),
             Some((when, p)) => self.events.push(when, Ev::Forward { packet: p, at }),
         }
     }
@@ -358,19 +360,14 @@ impl Network for LimitedP2pNetwork {
                 packet.bytes,
             )
         });
-        let ch = self.channels[idx]
-            .as_mut()
-            .expect("first hop is always a peer of the source");
-        if ch.is_full() {
+        if self.channels.is_full(idx) {
             self.stats.on_reject();
             return Err(packet);
         }
-        let bytes = packet.bytes;
+        let (src, bytes) = (packet.src, packet.bytes);
         let pref = self.slab.insert(packet);
-        self.channels[idx]
-            .as_mut()
-            .expect("first hop is always a peer of the source")
-            .try_enqueue(pref, bytes)
+        self.channels
+            .try_enqueue(idx, pref, bytes)
             .expect("checked not full");
         self.stats.on_inject(now);
         if let Some((id, src, dst, bytes)) = trace_fields {
@@ -381,7 +378,7 @@ impl Network for LimitedP2pNetwork {
                 bytes,
             });
         }
-        self.pump(idx, now);
+        self.pump(src, first_hop, now);
         Ok(())
     }
 
@@ -406,10 +403,7 @@ impl Network for LimitedP2pNetwork {
     /// can move a packet to a different first hop (or absorb it when every
     /// route is dead), so an older hint no longer names its queue.
     fn refuse_if_full(&mut self, queue: u32) -> bool {
-        let full = !self.faulted
-            && self.channels[queue as usize]
-                .as_ref()
-                .is_some_and(TxChannel::is_full);
+        let full = !self.faulted && self.channels.is_full(queue as usize);
         self.stats.reject_if(full)
     }
 
@@ -420,7 +414,7 @@ impl Network for LimitedP2pNetwork {
     fn advance(&mut self, now: Time) {
         while let Some((t, ev)) = self.events.pop_due(now) {
             match ev {
-                Ev::TxDone { channel } => self.pump(channel, t),
+                Ev::TxDone { src, hop } => self.pump(src, hop, t),
                 Ev::Arrive { packet, at_site } => self.on_arrive(packet, at_site, t),
                 Ev::Forward { packet, at } => self.on_forward(packet, at, t),
             }
@@ -465,41 +459,37 @@ impl Network for LimitedP2pNetwork {
     /// laser loss halves the affected site's outgoing channel bandwidth.
     fn apply_fault(&mut self, fault: NetFault, _now: Time) -> FaultResponse {
         self.faulted = true;
-        let sites = self.config.grid.sites();
+        let per_site = Self::peers_per_site(&self.config);
         let full = self.config.channel_bytes_per_ns(LAMBDAS_PER_CHANNEL);
         let spare = self.config.channel_bytes_per_ns(LAMBDAS_PER_CHANNEL / 2);
         match fault {
             NetFault::LinkKill { src, dst } => {
-                let idx = self.channel_index(src, dst);
-                let Some(ch) = self.channels[idx].as_mut() else {
+                if !self.config.grid.are_peers(src, dst) {
                     return FaultResponse::unhandled();
-                };
+                }
+                let idx = self.channel_index(src, dst);
                 self.dead[idx] = true;
-                let refs = ch.drain_queue();
+                let refs = self.channels.drain_queue(idx);
                 let evicted = refs.into_iter().map(|r| self.slab.take(r)).collect();
                 FaultResponse::handled("reroute").with_evicted(evicted)
             }
             NetFault::LinkRepair { src, dst } => {
-                let idx = self.channel_index(src, dst);
-                if self.channels[idx].is_none() {
+                if !self.config.grid.are_peers(src, dst) {
                     return FaultResponse::unhandled();
                 }
+                let idx = self.channel_index(src, dst);
                 self.dead[idx] = false;
                 FaultResponse::handled("direct-route")
             }
             NetFault::LaserLoss { site } => {
-                for d in 0..sites {
-                    if let Some(ch) = self.channels[site.index() * sites + d].as_mut() {
-                        ch.set_bytes_per_ns(spare);
-                    }
+                for ch in site.index() * per_site..(site.index() + 1) * per_site {
+                    self.channels.set_bytes_per_ns(ch, spare);
                 }
                 FaultResponse::handled("half-bandwidth")
             }
             NetFault::LaserRestore { site } => {
-                for d in 0..sites {
-                    if let Some(ch) = self.channels[site.index() * sites + d].as_mut() {
-                        ch.set_bytes_per_ns(full);
-                    }
+                for ch in site.index() * per_site..(site.index() + 1) * per_site {
+                    self.channels.set_bytes_per_ns(ch, full);
                 }
                 FaultResponse::handled("full-bandwidth")
             }

@@ -9,11 +9,15 @@
 //!
 //! Intra-site transfers use a single-cycle loop-back, as in the paper's
 //! evaluation (§6.2).
+//!
+//! The S² channels are one [`netcore::ChannelBank`]: one record per
+//! channel and one pooled queue for all of them, so building the network
+//! makes the same few allocations at any grid size.
 
 use desim::{EventQueue, Time, TraceEvent, Tracer};
 use netcore::{
-    FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet, PacketRef,
-    PacketSlab, SlabStats, TxChannel,
+    ChannelBank, FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet,
+    PacketRef, PacketSlab, SlabStats,
 };
 
 /// Wavelengths per point-to-point channel (2 × 2.5 GB/s = 5 GB/s).
@@ -27,7 +31,8 @@ enum Ev {
     Deliver { packet: PacketRef },
 }
 
-/// The point-to-point network: S×(S−1) dedicated serializing channels.
+/// The point-to-point network: S×(S−1) dedicated serializing channels,
+/// held in one [`ChannelBank`] indexed `src * S + dst`.
 ///
 /// # Example
 ///
@@ -46,7 +51,7 @@ enum Ev {
 /// ```
 pub struct P2pNetwork {
     config: MacrochipConfig,
-    channels: Vec<TxChannel<PacketRef>>,
+    channels: ChannelBank<PacketRef>,
     prop: crate::geom::PropByHops,
     slab: PacketSlab,
     events: EventQueue<Ev>,
@@ -61,12 +66,9 @@ impl P2pNetwork {
         config.validate();
         let sites = config.grid.sites();
         let bw = config.channel_bytes_per_ns(LAMBDAS_PER_CHANNEL);
-        let channels = (0..sites * sites)
-            .map(|_| TxChannel::new(bw, config.queue_capacity))
-            .collect();
         P2pNetwork {
             config,
-            channels,
+            channels: ChannelBank::new(sites * sites, bw, config.queue_capacity),
             prop: crate::geom::PropByHops::new(&config.layout),
             slab: PacketSlab::new(),
             events: EventQueue::new(),
@@ -82,7 +84,7 @@ impl P2pNetwork {
 
     /// Starts the channel's next transmission if it is idle.
     fn pump(&mut self, channel: usize, now: Time) {
-        if let Some((pref, finish)) = self.channels[channel].begin_if_ready(now) {
+        if let Some((pref, finish)) = self.channels.begin_if_ready(channel, now) {
             // No arbitration on a dedicated channel: the arbitration phase
             // is zero-width, so all pre-wire delay counts as queueing.
             let packet = self.slab.get_mut(pref);
@@ -152,14 +154,14 @@ impl Network for P2pNetwork {
                 packet.bytes,
             )
         });
-        if self.channels[channel].is_full() {
+        if self.channels.is_full(channel) {
             self.stats.on_reject();
             return Err(packet);
         }
         let bytes = packet.bytes;
         let pref = self.slab.insert(packet);
-        self.channels[channel]
-            .try_enqueue(pref, bytes)
+        self.channels
+            .try_enqueue(channel, pref, bytes)
             .expect("checked not full");
         self.stats.on_inject(now);
         if let Some((id, src, dst, bytes)) = trace_fields {
@@ -183,7 +185,7 @@ impl Network for P2pNetwork {
     }
 
     fn refuse_if_full(&mut self, queue: u32) -> bool {
-        let full = self.channels[queue as usize].is_full();
+        let full = self.channels.is_full(queue as usize);
         self.stats.reject_if(full)
     }
 
@@ -242,22 +244,26 @@ impl Network for P2pNetwork {
         let spare = self.config.channel_bytes_per_ns(1);
         match fault {
             NetFault::LinkKill { src, dst } => {
-                self.channels[src.index() * sites + dst.index()].set_bytes_per_ns(spare);
+                self.channels
+                    .set_bytes_per_ns(src.index() * sites + dst.index(), spare);
                 FaultResponse::handled("spare-wavelength")
             }
             NetFault::LinkRepair { src, dst } => {
-                self.channels[src.index() * sites + dst.index()].set_bytes_per_ns(full);
+                self.channels
+                    .set_bytes_per_ns(src.index() * sites + dst.index(), full);
                 FaultResponse::handled("full-bandwidth")
             }
             NetFault::LaserLoss { site } => {
                 for dst in 0..sites {
-                    self.channels[site.index() * sites + dst].set_bytes_per_ns(spare);
+                    self.channels
+                        .set_bytes_per_ns(site.index() * sites + dst, spare);
                 }
                 FaultResponse::handled("spare-wavelength")
             }
             NetFault::LaserRestore { site } => {
                 for dst in 0..sites {
-                    self.channels[site.index() * sites + dst].set_bytes_per_ns(full);
+                    self.channels
+                        .set_bytes_per_ns(site.index() * sites + dst, full);
                 }
                 FaultResponse::handled("full-bandwidth")
             }

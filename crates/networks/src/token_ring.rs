@@ -12,12 +12,17 @@
 //! The token is simulated lazily: when nobody wants it, only its (position,
 //! time) reference point is kept; event cost is proportional to traffic,
 //! not to token spins.
+//!
+//! The S² sender queues thread through one [`netcore::QueueArena`], and
+//! the per-destination bundles share one serialization memo (they have
+//! one bandwidth and no queue of their own).
 
 use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
 use netcore::{
     FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet, PacketRef,
-    PacketSlab, SlabStats, TxChannel,
+    PacketSlab, QueueArena, SlabStats,
 };
+use std::cell::Cell;
 
 /// Wavelengths per destination bundle (128 × 2.5 GB/s = 320 GB/s).
 pub const LAMBDAS_PER_BUNDLE: usize = 128;
@@ -62,11 +67,16 @@ enum Token {
 /// ```
 pub struct TokenRingNetwork {
     config: MacrochipConfig,
-    /// Per-destination shared bundle; serialization only — queueing is in
-    /// `queues`, token arbitration decides who transmits.
-    bundles: Vec<TxChannel>,
-    /// Per (source, destination) sender queue, S×S dense.
-    queues: Vec<std::collections::VecDeque<PacketRef>>,
+    /// Bandwidth of every destination's shared bundle. Bundles only
+    /// serialize: queueing is in `queues`, and token arbitration decides
+    /// who transmits.
+    bundle_bw: f64,
+    /// Memo of the last bundle serialization computed (same value the
+    /// division would produce, cached for the common fixed packet size).
+    ser_memo: Cell<(u32, Span)>,
+    /// Per (source, destination) sender queue, S×S dense, indexed
+    /// `src * S + dst`.
+    queues: QueueArena<PacketRef>,
     /// Per-destination occupancy bitmap over *ring positions*: bit `p` of
     /// `waiting[dst * words_per_dst ..]` is set iff the site at ring
     /// position `p` has packets queued for `dst`. Keeps the token
@@ -126,12 +136,9 @@ impl TokenRingNetwork {
             .collect();
         TokenRingNetwork {
             config,
-            bundles: (0..sites)
-                .map(|_| TxChannel::new(bw, 1)) // queue unused; kept for serialization math
-                .collect(),
-            queues: (0..sites * sites)
-                .map(|_| std::collections::VecDeque::with_capacity(4))
-                .collect(),
+            bundle_bw: bw,
+            ser_memo: Cell::new((64, Span::from_ns_f64(64.0 / bw))),
+            queues: QueueArena::new(sites * sites),
             waiting: vec![0; sites * sites.div_ceil(64)],
             words_per_dst: sites.div_ceil(64),
             hop: layout.ring_hop(),
@@ -159,7 +166,18 @@ impl TokenRingNetwork {
 
     /// True when source queue `q` refuses new packets.
     fn queue_full(&self, q: usize) -> bool {
-        self.queues[q].len() >= self.config.queue_capacity
+        self.queues.len(q) >= self.config.queue_capacity
+    }
+
+    /// Serialization time of `bytes` on a destination bundle.
+    fn serialization(&self, bytes: u32) -> Span {
+        let (memo_bytes, memo_span) = self.ser_memo.get();
+        if memo_bytes == bytes {
+            return memo_span;
+        }
+        let span = Span::from_ns_f64(bytes as f64 / self.bundle_bw);
+        self.ser_memo.set((bytes, span));
+        span
     }
 
     /// First instant at or after `now` when the free token for `dst`
@@ -260,13 +278,13 @@ impl TokenRingNetwork {
         let mut finish = t;
         let mut sent = 0;
         while sent < self.max_burst {
-            let Some(pref) = self.queues[q_idx].pop_front() else {
+            let Some(pref) = self.queues.pop_front(q_idx) else {
                 break;
             };
             let packet = self.slab.get_mut(pref);
             packet.tx_start = Some(finish);
             let bytes = packet.bytes;
-            let ser = self.bundles[dst].serialization(bytes);
+            let ser = self.serialization(bytes);
             finish += ser;
             self.slab.get_mut(pref).tx_end = Some(finish);
             self.events
@@ -283,7 +301,7 @@ impl TokenRingNetwork {
             holder: holder_site.index(),
         });
 
-        if self.queues[q_idx].is_empty() {
+        if self.queues.is_empty(q_idx) {
             self.clear_waiting(dst, pos);
         }
 
@@ -364,7 +382,7 @@ impl Network for TokenRingNetwork {
             bytes: packet.bytes,
         });
         let pref = self.slab.insert(packet);
-        self.queues[q].push_back(pref);
+        self.queues.push_back(q, pref);
         self.set_waiting(dst, pos);
         self.stats.on_inject(now);
         self.claim_token(dst, pos, now);
@@ -539,7 +557,7 @@ mod tests {
     fn wide_bundle_serializes_fast() {
         let n = net();
         // 64 B at 320 B/ns = 0.2 ns = one core cycle, as the paper says.
-        assert_eq!(n.bundles[0].serialization(64), Span::from_ps(200));
+        assert_eq!(n.serialization(64), Span::from_ps(200));
     }
 
     #[test]

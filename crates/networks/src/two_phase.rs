@@ -21,13 +21,16 @@
 //! delay. This is exactly the switch-tree contention the paper blames for
 //! the base design's low sustained bandwidth, and why the ALT variant
 //! (double trees, double transmitters) recovers a factor ~1.4 (§6.1).
+//!
+//! Every channel's per-source request FIFOs (side·S·side of them) thread
+//! through one [`netcore::QueueArena`], and the switch-tree busy times are
+//! one flat vector.
 
 use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
 use netcore::{
     FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet, PacketRef,
-    PacketSlab, SiteId, SlabStats,
+    PacketSlab, QueueArena, SiteId, SlabStats,
 };
-use std::collections::VecDeque;
 
 /// Wavelengths per shared data channel (16 × 2.5 GB/s = 40 GB/s).
 pub const LAMBDAS_PER_CHANNEL: usize = 16;
@@ -71,14 +74,14 @@ struct Queued {
     wasted: u32,
 }
 
-/// One shared (row → destination) channel's arbitration state.
+/// One shared (row → destination) channel's arbitration state. Its
+/// per-source request FIFOs live in the network's `requests` arena.
 #[derive(Debug)]
 struct Channel {
-    /// Per-source FIFO (index = column of the source within its row).
-    queues: Vec<VecDeque<Queued>>,
-    /// Bit `s` set iff `queues[s]` is non-empty (the arbitration domain
-    /// is one row, so a word covers it); lets the round-robin scan and
-    /// the pending check skip empty queues without touching them.
+    /// Bit `s` set iff the request queue of the source in column `s` is
+    /// non-empty (the arbitration domain is one row, so a word covers
+    /// it); lets the round-robin scan and the pending check skip empty
+    /// queues without touching them.
     occ: u64,
     /// Round-robin pointer over sources.
     rr: usize,
@@ -120,9 +123,13 @@ pub struct TwoPhaseNetwork {
     alt: bool,
     /// Channels indexed `row * sites + dst`.
     channels: Vec<Channel>,
-    /// Switch-tree busy times, indexed `site * side + column`; one entry
-    /// per tree (two in ALT).
-    trees: Vec<Vec<Time>>,
+    /// Per-source request FIFOs of every channel, indexed
+    /// `channel * side + source column` (the admission-queue key).
+    requests: QueueArena<Queued>,
+    /// Switch-tree busy times, `trees_per_column` entries per (site,
+    /// column) pair, that pair indexed `site * side + column`.
+    trees: Vec<Time>,
+    trees_per_column: usize,
     /// Next instant each column's notification waveguide can carry another
     /// switch request.
     notify_free: Vec<Time>,
@@ -178,7 +185,6 @@ impl TwoPhaseNetwork {
         let sites = config.grid.sites();
         let channels = (0..side * sites)
             .map(|_| Channel {
-                queues: (0..side).map(|_| VecDeque::with_capacity(4)).collect(),
                 occ: 0,
                 rr: 0,
                 free_at: Time::ZERO,
@@ -190,7 +196,9 @@ impl TwoPhaseNetwork {
             config,
             alt: trees_per_column > 1,
             channels,
-            trees: vec![vec![Time::ZERO; trees_per_column]; sites * side],
+            requests: QueueArena::new(side * sites * side),
+            trees: vec![Time::ZERO; sites * side * trees_per_column],
+            trees_per_column,
             notify_free: vec![Time::ZERO; side],
             masked_sites: vec![false; sites],
             masked_tx: vec![false; sites],
@@ -220,7 +228,21 @@ impl TwoPhaseNetwork {
     /// True when column `col`'s request queue on shared channel `channel`
     /// refuses new packets.
     fn request_queue_full(&self, channel: usize, col: usize) -> bool {
-        self.channels[channel].queues[col].len() >= self.config.queue_capacity
+        self.requests.len(self.request_queue(channel, col)) >= self.config.queue_capacity
+    }
+
+    /// Index in `requests` of column `col`'s queue on `channel`.
+    fn request_queue(&self, channel: usize, col: usize) -> usize {
+        channel * self.config.grid.side() + col
+    }
+
+    /// Empties column `col`'s request queue on `channel` (a masked
+    /// requestor, sink or channel), appending its packets to `out`.
+    fn evict_requests(&mut self, channel: usize, col: usize, out: &mut Vec<Packet>) {
+        let rq = self.request_queue(channel, col);
+        let slab = &mut self.slab;
+        out.extend(self.requests.drain(rq).map(|q| slab.take(q.packet)));
+        self.channels[channel].occ &= !(1 << col);
     }
 
     fn tree_index(&self, site: SiteId, dst: SiteId) -> usize {
@@ -317,7 +339,10 @@ impl TwoPhaseNetwork {
                     if occ & (1 << s) == 0 {
                         continue;
                     }
-                    let q = ch.queues[s].front().expect("occupancy bit set");
+                    let q = self
+                        .requests
+                        .front(channel * side + s)
+                        .expect("occupancy bit set");
                     if q.eligible_at <= t {
                         selected = Some(s);
                         break;
@@ -340,15 +365,19 @@ impl TwoPhaseNetwork {
         };
 
         let src = self.config.grid.site(src_col, row);
-        let head = *self.channels[channel].queues[src_col]
-            .front()
+        let rq = self.request_queue(channel, src_col);
+        let head = *self
+            .requests
+            .front(rq)
             .expect("selected source has a head packet");
         let dur = self.slotted_duration(self.slab.get(head.packet).bytes);
 
         // Phase 2: the switch tree for the destination's column must be
         // free for the whole reserved duration.
-        let tree_idx = self.tree_index(src, dst);
-        let free_tree = self.trees[tree_idx].iter().position(|&b| b <= t);
+        let tree_base = self.tree_index(src, dst) * self.trees_per_column;
+        let free_tree = self.trees[tree_base..tree_base + self.trees_per_column]
+            .iter()
+            .position(|&b| b <= t);
 
         // The arbiter granted this slot range either way: the channel is
         // reserved for `dur` from `t`.
@@ -363,13 +392,12 @@ impl TwoPhaseNetwork {
 
         match free_tree {
             Some(tree) => {
-                let ch = &mut self.channels[channel];
-                let queued = ch.queues[src_col].pop_front().expect("head packet present");
-                if ch.queues[src_col].is_empty() {
-                    ch.occ &= !(1 << src_col);
+                let queued = self.requests.pop_front(rq).expect("head packet present");
+                if self.requests.is_empty(rq) {
+                    self.channels[channel].occ &= !(1 << src_col);
                 }
                 let pref = queued.packet;
-                self.trees[tree_idx][tree] = t + dur;
+                self.trees[tree_base + tree] = t + dur;
                 let bytes = self.slab.get(pref).bytes;
                 let ser = self.serialization(bytes);
                 let prop = self
@@ -391,9 +419,7 @@ impl TwoPhaseNetwork {
             None => {
                 // Tree conflict: reservation burns, packet re-arbitrates.
                 self.stats.on_wasted_slot();
-                let q = self.channels[channel].queues[src_col]
-                    .front_mut()
-                    .expect("head packet present");
+                let q = self.requests.front_mut(rq).expect("head packet present");
                 q.eligible_at = t + ARB_PIPELINE;
                 q.wasted += 1;
                 let pref = q.packet;
@@ -503,13 +529,16 @@ impl Network for TwoPhaseNetwork {
         });
         let eligible_at = now + ARB_PIPELINE;
         let pref = self.slab.insert(packet);
-        let ch = &mut self.channels[channel];
-        ch.queues[src_col].push_back(Queued {
-            packet: pref,
-            eligible_at,
-            wasted: 0,
-        });
-        ch.occ |= 1 << src_col;
+        let rq = self.request_queue(channel, src_col);
+        self.requests.push_back(
+            rq,
+            Queued {
+                packet: pref,
+                eligible_at,
+                wasted: 0,
+            },
+        );
+        self.channels[channel].occ |= 1 << src_col;
         self.stats.on_inject(now);
         self.schedule_slot(channel, eligible_at);
         Ok(())
@@ -522,7 +551,7 @@ impl Network for TwoPhaseNetwork {
             return None; // loop-back never queues
         }
         let channel = self.channel_index(packet.src, packet.dst);
-        let key = channel * self.config.grid.side() + self.config.grid.x(packet.src);
+        let key = self.request_queue(channel, self.config.grid.x(packet.src));
         u32::try_from(key).ok()
     }
 
@@ -591,37 +620,27 @@ impl Network for TwoPhaseNetwork {
         match fault {
             NetFault::SiteKill { site } => {
                 self.masked_sites[site.index()] = true;
-                let mut refs = Vec::new();
+                let mut evicted = Vec::new();
                 // The dead site's own pending requests, across its row.
-                let row = g.y(site);
-                let col = g.x(site);
+                let (row, col) = (g.y(site), g.x(site));
                 for d in 0..sites {
-                    let ch = &mut self.channels[row * sites + d];
-                    refs.extend(ch.queues[col].drain(..).map(|q| q.packet));
-                    ch.occ &= !(1 << col);
+                    self.evict_requests(row * sites + d, col, &mut evicted);
                 }
                 // Everyone else's packets destined to the dead site.
                 for r in 0..g.side() {
-                    let ch = &mut self.channels[r * sites + site.index()];
-                    for queue in &mut ch.queues {
-                        refs.extend(queue.drain(..).map(|q| q.packet));
+                    for c in 0..g.side() {
+                        self.evict_requests(r * sites + site.index(), c, &mut evicted);
                     }
-                    ch.occ = 0;
                 }
-                let evicted = refs.into_iter().map(|r| self.slab.take(r)).collect();
                 FaultResponse::handled("mask-requestor").with_evicted(evicted)
             }
             NetFault::LaserLoss { site } => {
                 self.masked_tx[site.index()] = true;
-                let mut refs = Vec::new();
-                let row = g.y(site);
-                let col = g.x(site);
+                let mut evicted = Vec::new();
+                let (row, col) = (g.y(site), g.x(site));
                 for d in 0..sites {
-                    let ch = &mut self.channels[row * sites + d];
-                    refs.extend(ch.queues[col].drain(..).map(|q| q.packet));
-                    ch.occ &= !(1 << col);
+                    self.evict_requests(row * sites + d, col, &mut evicted);
                 }
-                let evicted = refs.into_iter().map(|r| self.slab.take(r)).collect();
                 FaultResponse::handled("mask-requestor").with_evicted(evicted)
             }
             NetFault::LaserRestore { site } => {
@@ -631,13 +650,10 @@ impl Network for TwoPhaseNetwork {
             NetFault::LinkKill { src, dst } => {
                 let channel = self.channel_index(src, dst);
                 self.masked_channels[channel] = true;
-                let mut refs = Vec::new();
-                let ch = &mut self.channels[channel];
-                for queue in &mut ch.queues {
-                    refs.extend(queue.drain(..).map(|q| q.packet));
+                let mut evicted = Vec::new();
+                for c in 0..g.side() {
+                    self.evict_requests(channel, c, &mut evicted);
                 }
-                ch.occ = 0;
-                let evicted: Vec<Packet> = refs.into_iter().map(|r| self.slab.take(r)).collect();
                 FaultResponse::handled("mask-channel").with_evicted(evicted)
             }
             NetFault::LinkRepair { src, dst } => {

@@ -22,7 +22,7 @@
 //! the heaviest directory traffic (largest speedup spread, §6.2).
 
 use coherence::cache::{SetAssocCache, LINE_BYTES};
-use coherence::directory::{home_site, Directory};
+use coherence::directory::{home_site, Directory, MAX_SITES};
 use coherence::ops::{NextMiss, OpKind, OpSource, OpSpec};
 use coherence::protocol::{remote_read, MoesiState};
 use desim::{SimRng, Span};
@@ -167,9 +167,18 @@ pub struct AppWorkload {
 
 impl AppWorkload {
     /// Builds the workload's caches and directories for `grid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid has more than [`MAX_SITES`] sites, the most a
+    /// directory's sharer bit-vector can address.
     pub fn new(grid: &Grid, profile: AppProfile, seed: u64) -> AppWorkload {
         let cores_per_site = 8;
         let sites = grid.sites();
+        assert!(
+            sites <= MAX_SITES,
+            "application kernels track sharers for at most {MAX_SITES} sites, not {sites}"
+        );
         AppWorkload {
             profile,
             grid: *grid,
@@ -502,5 +511,13 @@ mod tests {
             v
         };
         assert_eq!(collect(7), collect(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 sites")]
+    fn grids_beyond_the_directory_bit_vector_are_refused() {
+        // Sharers are one bit of a u64 per site: site 64 would alias
+        // site 0.
+        let _ = AppWorkload::new(&Grid::new(9), radix(), 1);
     }
 }
