@@ -21,7 +21,7 @@ use coherence::EngineConfig;
 use desim::prof;
 use desim::trace::{chrome_trace_json, RingSink};
 use desim::{Span, Time, TraceEvent, Tracer};
-use macrochip::campaign::{self, fabric_point_key, CampaignPoint, PointExecOptions, PointResult};
+use macrochip::campaign::{self, CampaignPoint, PointExecOptions, PointResult};
 use macrochip::experiment::run_coherent_observed;
 use macrochip::names;
 use macrochip::prelude::*;
@@ -316,56 +316,6 @@ fn cache_summary(enabled: bool, hits: usize, total: usize) -> String {
     }
 }
 
-/// One executed campaign cell as it crosses back from a worker: the
-/// (possibly cached) result plus any requested side channels.
-struct Cell {
-    result: PointResult,
-    cached: bool,
-    trace: Vec<(Time, TraceEvent)>,
-    metrics: Option<MetricsSnapshot>,
-    audit: Option<AuditReport>,
-}
-
-/// Executes one campaign point with cache consultation. Side channels are
-/// only produced on a miss (hits never simulate), but `open_cache`
-/// guarantees the cache is off whenever side channels were requested.
-fn run_cell(
-    point: &CampaignPoint,
-    fabric: &FabricConfig,
-    cache: Option<&campaign::ResultCache>,
-    exec: PointExecOptions,
-) -> Cell {
-    let key = fabric_point_key(point, fabric);
-    if let Some(cache) = cache {
-        if let Some(hit) = cache.load(key) {
-            if hit.tag() == point.tag() {
-                prof::add(prof::Counter::PointsDone, 1);
-                return Cell {
-                    result: hit,
-                    cached: true,
-                    trace: Vec::new(),
-                    metrics: None,
-                    audit: None,
-                };
-            }
-        }
-    }
-    let run = campaign::run_point_full_fabric(point, fabric, exec);
-    prof::add(prof::Counter::PointsDone, 1);
-    if let Some(cache) = cache {
-        // A failed store (read-only tree, disk full) only costs future
-        // recomputation; the run itself still succeeds.
-        let _ = cache.store(key, &run.result);
-    }
-    Cell {
-        result: run.result,
-        cached: false,
-        trace: run.trace,
-        metrics: run.metrics,
-        audit: run.audit,
-    }
-}
-
 /// One exported measurement: run label, offered load, its metrics.
 struct RunRecord {
     network: String,
@@ -469,17 +419,6 @@ fn fabric_from_args(args: &[String]) -> Result<FabricConfig, String> {
     Ok(fabric)
 }
 
-/// The configuration the fabric simulates as one flat site space: the
-/// bare chip for a one-chip board (byte-identical to the pre-fabric
-/// path), the global grid otherwise.
-fn sim_config(fabric: &FabricConfig) -> MacrochipConfig {
-    if fabric.is_single() {
-        fabric.chip
-    } else {
-        fabric.global_config()
-    }
-}
-
 /// Rejects `--chips` on subcommands whose harnesses are single-chip.
 fn reject_chips(args: &[String], cmd: &str) -> Result<(), String> {
     if args.iter().any(|a| a == "--chips") {
@@ -543,7 +482,7 @@ fn cmd_tables(args: &[String]) -> Result<(), String> {
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let out = OutputOpts::parse(args);
     let fabric = fabric_from_args(args)?;
-    let config = sim_config(&fabric);
+    let config = fabric.global_config();
     let network_arg = flag(args, "--network").ok_or("missing --network")?;
     let kinds = names::parse_networks(&network_arg).ok_or("unknown network")?;
     let pattern_arg = flag(args, "--pattern").ok_or("missing --pattern")?;
@@ -580,7 +519,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let cells = {
         let _progress = ProgressReporter::start("sweep", points.len(), out.progress);
         run_indexed(&points, jobs.jobs, |_, point| {
-            run_cell(point, &fabric, cache.as_ref(), exec)
+            campaign::run_cached(point, &fabric, cache.as_ref(), exec)
         })
     };
 
@@ -846,7 +785,7 @@ const DEFAULT_FAULT_SPEC: &str = "rand-links=2; transient=0.01; repair=10us";
 fn cmd_faults(args: &[String]) -> Result<(), String> {
     let out = OutputOpts::parse(args);
     let fabric = fabric_from_args(args)?;
-    let config = sim_config(&fabric);
+    let config = fabric.global_config();
     let network_arg = flag(args, "--network").unwrap_or_else(|| "all".into());
     let kinds = names::parse_networks(&network_arg).ok_or("unknown network")?;
     let pattern_arg = flag(args, "--pattern").unwrap_or_else(|| "uniform".into());
@@ -896,7 +835,7 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
     let cells = {
         let _progress = ProgressReporter::start("faults", points.len(), out.progress);
         run_indexed(&points, jobs.jobs, |_, point| {
-            run_cell(point, &fabric, cache.as_ref(), exec)
+            campaign::run_cached(point, &fabric, cache.as_ref(), exec)
         })
     };
 
@@ -971,7 +910,7 @@ fn cmd_run_all(args: &[String]) -> Result<(), String> {
     let out = OutputOpts::parse(args);
     let jobs = JobOpts::parse(args)?;
     let fabric = fabric_from_args(args)?;
-    let config = sim_config(&fabric);
+    let config = fabric.global_config();
     let pattern_arg = flag(args, "--pattern").unwrap_or_else(|| "uniform".into());
     let pattern = names::parse_pattern(&pattern_arg).ok_or("unknown pattern")?;
     let seed: u64 = flag(args, "--seed")
@@ -1031,7 +970,7 @@ fn cmd_run_all(args: &[String]) -> Result<(), String> {
     let cells = {
         let _progress = ProgressReporter::start("run-all", points.len(), out.progress);
         run_indexed(&points, jobs.jobs, |_, point| {
-            run_cell(point, &fabric, cache.as_ref(), exec)
+            campaign::run_cached(point, &fabric, cache.as_ref(), exec)
         })
     };
 
@@ -1426,11 +1365,11 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let cache = open_cache(jobs.no_cache, exec.trace || exec.metrics || exec.audit)?;
     let cells = {
         let _progress = ProgressReporter::start("replay", points.len(), progress);
-        // Replay is single-chip (`reject_chips` above); the one-chip
-        // fabric wrapper shares the campaign cell path and cache keys.
+        // Replay is single-chip (`reject_chips` above): it runs on the
+        // one-chip board, whose cache keys are the bare chip's.
         let single = FabricConfig::single(config);
         run_indexed(&points, jobs.jobs, |_, point| {
-            run_cell(point, &single, cache.as_ref(), exec)
+            campaign::run_cached(point, &single, cache.as_ref(), exec)
         })
     };
 
@@ -1782,12 +1721,16 @@ fn main() -> ExitCode {
             print!("{USAGE}");
             Ok(())
         }
-        Some(other) => Err(format!("unknown command '{other}'")),
+        Some(other) => {
+            eprintln!("error: unknown command '{other}'\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            // One line per refusal: the usage text would bury it.
+            eprintln!("error: {e}\nrun `macrochip help` for usage");
             ExitCode::FAILURE
         }
     }

@@ -1,105 +1,24 @@
-//! Audited run harnesses: every entry point here wires a
-//! [`netcore::Auditor`] into the flight-recorder stream of a run and
-//! returns the reconciled [`AuditReport`] alongside the run's normal
-//! result — the `--audit` flag's engine room.
+//! The cross-network differential oracle.
 //!
-//! The [`differential_replay`] oracle is the strongest check: it replays
-//! one captured `.mtrc` trace through **all five** network architectures
-//! under audit and asserts that every network conserved the *same*
-//! injected packet set — a bug that silently drops or duplicates packets
-//! in one architecture cannot hide behind that architecture's own
-//! (equally buggy) counters.
+//! [`differential_replay`] replays one captured `.mtrc` trace through
+//! **all five** network architectures under audit and asserts that every
+//! network conserved the *same* injected packet set — a bug that silently
+//! drops or duplicates packets in one architecture cannot hide behind that
+//! architecture's own (equally buggy) counters.
+//!
+//! Every other audited run (`--audit` on sweep, faults, run-all, replay
+//! and coherent) goes through [`crate::campaign::run_point_full`] or
+//! [`crate::experiment::run_coherent_audited`]; like the oracle, each one
+//! closes its audit through [`Auditor::close`].
 
-use crate::replay_run::{run_replay, run_replay_faulted, ReplayOptions, ReplaySummary};
-use crate::sweep::{run_load_point_traced, LoadPoint, SweepOptions};
+use crate::replay_run::{run_replay, ReplayOptions, ReplaySummary};
 use desim::{Span, Time, Tracer};
-use faults::FaultPlan;
 use netcore::audit::{AuditReport, Auditor};
-use netcore::{MacrochipConfig, Network, NetworkKind};
+use netcore::{MacrochipConfig, NetworkKind};
 use replay::TraceError;
 use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
-use workloads::Pattern;
-
-/// A shared auditor handle ready to be installed as a [`Tracer`] sink.
-pub fn shared_auditor(kind: NetworkKind, config: &MacrochipConfig) -> Rc<RefCell<Auditor>> {
-    Rc::new(RefCell::new(Auditor::new(kind, config)))
-}
-
-/// [`crate::sweep::run_load_point`] under the invariant auditor.
-pub fn run_load_point_audited(
-    kind: NetworkKind,
-    pattern: Pattern,
-    offered: f64,
-    config: &MacrochipConfig,
-    options: SweepOptions,
-) -> (LoadPoint, AuditReport) {
-    let auditor = shared_auditor(kind, config);
-    let (point, net) = run_load_point_traced(
-        networks::build(kind, *config),
-        pattern,
-        offered,
-        config,
-        options,
-        Tracer::shared(&auditor),
-    );
-    let end = Time::ZERO + options.sim + options.drain;
-    if net.next_event().is_none() {
-        auditor.borrow_mut().check_slab_idle(net.slab_stats(), end);
-    }
-    let report = auditor.borrow_mut().finalize(net.stats(), 0, end);
-    (point, report)
-}
-
-/// [`run_replay`] under the invariant auditor.
-pub fn run_replay_audited(
-    kind: NetworkKind,
-    path: &Path,
-    config: &MacrochipConfig,
-    options: ReplayOptions,
-) -> Result<(ReplaySummary, AuditReport), TraceError> {
-    let auditor = shared_auditor(kind, config);
-    let (summary, net) = run_replay(kind, path, config, options, Tracer::shared(&auditor))?;
-    let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
-    if net.next_event().is_none() {
-        auditor.borrow_mut().check_slab_idle(net.slab_stats(), end);
-    }
-    let report = auditor.borrow_mut().finalize(net.stats(), 0, end);
-    Ok((summary, report))
-}
-
-/// [`run_replay_faulted`] under the invariant auditor. The fault
-/// wrapper's permanent-drop counter reconciles against the wrapper-reason
-/// drop events, so a faulted packet that simply vanished (accounted
-/// nowhere) is flagged.
-pub fn run_replay_faulted_audited(
-    kind: NetworkKind,
-    path: &Path,
-    config: &MacrochipConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    options: ReplayOptions,
-) -> Result<(ReplaySummary, AuditReport), TraceError> {
-    let auditor = shared_auditor(kind, config);
-    let (summary, net) = run_replay_faulted(
-        kind,
-        path,
-        config,
-        plan,
-        seed,
-        options,
-        Tracer::shared(&auditor),
-    )?;
-    let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
-    if net.next_event().is_none() {
-        auditor.borrow_mut().check_slab_idle(net.slab_stats(), end);
-    }
-    let report = auditor
-        .borrow_mut()
-        .finalize(net.stats(), net.fault_stats().dropped, end);
-    Ok((summary, report))
-}
 
 /// One network's leg of the differential oracle.
 #[derive(Debug, Clone)]
@@ -150,14 +69,11 @@ pub fn differential_replay(
 ) -> Result<DifferentialReport, TraceError> {
     let mut runs = Vec::with_capacity(NetworkKind::FIGURE6.len());
     for kind in NetworkKind::FIGURE6 {
-        let auditor = shared_auditor(kind, config);
+        let auditor = Rc::new(RefCell::new(Auditor::new(kind, config)));
         let (summary, net) = run_replay(kind, path, config, options, Tracer::shared(&auditor))?;
         let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
-        if net.next_event().is_none() {
-            auditor.borrow_mut().check_slab_idle(net.slab_stats(), end);
-        }
         let injected = auditor.borrow().injected_set_digest();
-        let report = auditor.borrow_mut().finalize(net.stats(), 0, end);
+        let report = auditor.borrow_mut().close(net.as_ref(), 0, end);
         runs.push(DifferentialRun {
             kind,
             summary,
@@ -171,10 +87,13 @@ pub fn differential_replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_load_point_observed;
+    use crate::campaign::{run_point_full, CampaignPoint, PointExecOptions, PointResult, PointRun};
+    use crate::sweep::{run_load_point_observed, run_load_point_traced, SweepOptions};
     use desim::trace::{TeeSink, TraceEvent, TraceSink};
+    use netcore::FabricConfig;
     use replay::{TraceMeta, TraceWriter};
     use std::io::Cursor;
+    use workloads::Pattern;
 
     fn config() -> MacrochipConfig {
         MacrochipConfig::scaled()
@@ -187,6 +106,27 @@ mod tests {
             max_stalled: 10_000,
             seed: 3,
         }
+    }
+
+    /// A uniform sweep point through the campaign runner with the auditor
+    /// on: the path every `--audit` sweep takes.
+    fn audited_sweep(
+        kind: NetworkKind,
+        load: f64,
+        config: MacrochipConfig,
+        options: SweepOptions,
+    ) -> PointRun {
+        let point = CampaignPoint::Sweep {
+            kind,
+            pattern: Pattern::Uniform,
+            offered: load,
+            options,
+        };
+        let exec = PointExecOptions {
+            audit: true,
+            ..PointExecOptions::default()
+        };
+        run_point_full(&point, &FabricConfig::single(config), exec)
     }
 
     /// The five Figure-6 networks on the scaled macrochip at 2 % load,
@@ -208,8 +148,11 @@ mod tests {
             .chain(hierarchical);
         for (kind, config, load) in runs {
             let side = config.grid.side();
-            let (point, report) =
-                run_load_point_audited(kind, Pattern::Uniform, load, &config, fast_options());
+            let run = audited_sweep(kind, load, config, fast_options());
+            let PointResult::Sweep(point) = run.result else {
+                panic!("expected a sweep result");
+            };
+            let report = run.audit.expect("audit requested");
             assert!(!point.saturated, "{kind} {side}x{side} saturated at {load}");
             assert!(
                 report.is_clean(),
@@ -236,8 +179,9 @@ mod tests {
                 max_stalled: 500,
                 seed: 5,
             };
-            let (_, report) =
-                run_load_point_audited(kind, Pattern::Uniform, 1.0, &config(), options);
+            let report = audited_sweep(kind, 1.0, config(), options)
+                .audit
+                .expect("audit requested");
             assert!(
                 report.is_clean(),
                 "{kind} violations at saturation: {:?}",
@@ -252,7 +196,7 @@ mod tests {
     fn a_forged_duplicate_delivery_is_caught_with_full_context() {
         let kind = NetworkKind::PointToPoint;
         let cfg = config();
-        let auditor = shared_auditor(kind, &cfg);
+        let auditor = Rc::new(RefCell::new(Auditor::new(kind, &cfg)));
         let saboteur = Rc::new(RefCell::new(ForgeOnDeliver {
             auditor: Rc::clone(&auditor),
             forged: None,
@@ -271,7 +215,7 @@ mod tests {
         let forged = saboteur.borrow().forged.expect("a delivery was forged");
         let report = auditor
             .borrow_mut()
-            .finalize(net.stats(), 0, Time::from_us(11));
+            .close(net.as_ref(), 0, Time::from_us(11));
         assert!(!report.is_clean());
         let v = report
             .violations

@@ -545,6 +545,9 @@ pub struct PointExecOptions {
 #[derive(Debug, Clone)]
 pub struct PointRun {
     pub result: PointResult,
+    /// True if [`run_cached`] served the result from the cache without
+    /// simulating; its side channels are then empty.
+    pub cached: bool,
     /// Recorded trace events, oldest first (empty unless requested).
     pub trace: Vec<(Time, TraceEvent)>,
     /// Metrics snapshot (present only when requested).
@@ -556,33 +559,60 @@ pub struct PointRun {
 
 /// Executes one campaign point to completion on the calling thread.
 pub fn run_point(point: &CampaignPoint, config: &MacrochipConfig) -> PointResult {
-    run_point_full(point, config, PointExecOptions::default()).result
+    run_point_full(
+        point,
+        &FabricConfig::single(*config),
+        PointExecOptions::default(),
+    )
+    .result
 }
 
-/// [`run_point`] with optional flight-recorder, metrics, and invariant
-/// audit capture.
+/// Executes one campaign point on `fabric`, with optional flight-recorder,
+/// metrics and invariant-audit capture: the one runner for single chips
+/// and multi-chip boards.
+///
+/// A single chip is the 1×1 board. The point's network comes from
+/// [`networks::build_fabric`], its traffic and fault plans address
+/// [`FabricConfig::global_config`], and its auditor is
+/// [`Auditor::new_fabric`]; for one chip each of these is the plain
+/// single-chip object, so results and cache keys match a campaign that
+/// never heard of fabrics. A multi-chip board is driven as one simulation,
+/// and its audit adds the `fabric.inter-chip-bytes` reconciliation. Every
+/// audited point closes through [`Auditor::close`].
 ///
 /// Tracing and metrics are unsupported for [`CampaignPoint::Coherent`]
 /// points (the coherent harness owns its network internally); their side
 /// channels come back empty. Auditing **is** supported for coherent
 /// points — it routes through [`run_coherent_audited`], which also checks
 /// the coherence engine's structural invariants.
+///
+/// # Panics
+///
+/// Coherent and replay points are single-chip harnesses; calling this with
+/// one on a multi-chip fabric panics. The CLI rejects `--chips` for those
+/// subcommands before reaching this layer.
 pub fn run_point_full(
     point: &CampaignPoint,
-    config: &MacrochipConfig,
+    fabric: &FabricConfig,
     exec: PointExecOptions,
 ) -> PointRun {
+    let single_chip_harness = matches!(
+        point,
+        CampaignPoint::Coherent { .. } | CampaignPoint::Replay { .. }
+    );
+    if single_chip_harness && !fabric.is_single() {
+        panic!(
+            "{} points are single-chip harnesses; a {0} point cannot run on a {}x{} fabric",
+            point.tag(),
+            fabric.chips_per_side,
+            fabric.chips_per_side
+        );
+    }
+    let config = fabric.global_config();
     let sink = Rc::new(RefCell::new(RingSink::new(exec.trace_capacity.max(1))));
     // Coherent points build their auditor inside run_coherent_audited.
-    let auditor = (exec.audit && !matches!(point, CampaignPoint::Coherent { .. })).then(|| {
-        let kind = match point {
-            CampaignPoint::Sweep { kind, .. }
-            | CampaignPoint::Fault { kind, .. }
-            | CampaignPoint::Coherent { kind, .. }
-            | CampaignPoint::Replay { kind, .. } => *kind,
-        };
-        Rc::new(RefCell::new(Auditor::new(kind, config)))
-    });
+    let auditor = (exec.audit && !matches!(point, CampaignPoint::Coherent { .. }))
+        .then(|| Rc::new(RefCell::new(Auditor::new_fabric(point.kind(), fabric))));
     let tracer = match (&auditor, exec.trace) {
         (Some(a), true) => {
             let mut tee = TeeSink::new();
@@ -594,6 +624,23 @@ pub fn run_point_full(
         (None, true) => Tracer::shared(&sink),
         (None, false) => Tracer::disabled(),
     };
+    // Closes the audit of a driven network and snapshots its metrics:
+    // `record` writes the point's own families, then the audit.* family.
+    let finish =
+        |net: &dyn Network, fault_drops: u64, end: Time, record: &dyn Fn(&mut MetricsRegistry)| {
+            let audit = auditor
+                .as_ref()
+                .map(|a| a.borrow_mut().close(net, fault_drops, end));
+            let metrics = exec.metrics.then(|| {
+                let mut reg = MetricsRegistry::new();
+                record(&mut reg);
+                if let Some(report) = &audit {
+                    report.record_metrics(&mut reg);
+                }
+                reg.snapshot()
+            });
+            (metrics, audit)
+        };
     let (result, metrics, audit) = match point {
         CampaignPoint::Sweep {
             kind,
@@ -602,25 +649,17 @@ pub fn run_point_full(
             options,
         } => {
             let (p, net) = run_load_point_traced(
-                networks::build(*kind, *config),
+                networks::build_fabric(*kind, fabric),
                 *pattern,
                 *offered,
-                config,
+                &config,
                 *options,
                 tracer,
             );
-            let audit = auditor.map(|a| {
-                let end = Time::ZERO + options.sim + options.drain;
-                a.borrow_mut().finalize(net.stats(), 0, end)
-            });
-            let metrics = exec.metrics.then(|| {
-                let mut reg = MetricsRegistry::new();
+            let end = Time::ZERO + options.sim + options.drain;
+            let (metrics, audit) = finish(net.as_ref(), 0, end, &|reg| {
                 reg.record_net_stats(net.stats());
                 reg.set_gauge("run.offered_load", *offered);
-                if let Some(report) = &audit {
-                    report.record_metrics(&mut reg);
-                }
-                reg.snapshot()
             });
             (PointResult::Sweep(p), metrics, audit)
         }
@@ -636,7 +675,7 @@ pub fn run_point_full(
         } => {
             let horizon = Time::ZERO + *sim;
             let mut net =
-                ResilientNetwork::new(networks::build(*kind, *config), plan, *seed, horizon);
+                ResilientNetwork::new(networks::build_fabric(*kind, fabric), plan, *seed, horizon);
             net.set_tracer(tracer.clone());
             let peak = config.site_bandwidth_bytes_per_ns();
             let mut traffic = OpenLoopTraffic::new(
@@ -654,18 +693,9 @@ pub fn run_point_full(
                 DriveLimits::for_window(*sim, *drain, *max_stalled),
                 tracer,
             );
-            let audit = auditor.map(|a| {
-                a.borrow_mut()
-                    .finalize(net.stats(), net.fault_stats().dropped, outcome.end)
-            });
-            let metrics = exec.metrics.then(|| {
-                let mut reg = MetricsRegistry::new();
-                net.record_metrics(&mut reg, outcome.end);
+            let (metrics, audit) = finish(&net, net.fault_stats().dropped, outcome.end, &|reg| {
+                net.record_metrics(reg, outcome.end);
                 reg.set_gauge("run.offered_load", *load);
-                if let Some(report) = &audit {
-                    report.record_metrics(&mut reg);
-                }
-                reg.snapshot()
             });
             let s = net.fault_stats();
             let result = PointResult::Fault(FaultSummary {
@@ -685,14 +715,14 @@ pub fn run_point_full(
                 let (run, report) = run_coherent_audited(
                     *kind,
                     spec,
-                    config,
+                    &config,
                     coherence::EngineConfig::default(),
                     *seed,
                 );
                 (PointResult::Coherent(run), None, Some(report))
             } else {
                 (
-                    PointResult::Coherent(run_coherent(*kind, spec, config, *seed)),
+                    PointResult::Coherent(run_coherent(*kind, spec, &config, *seed)),
                     None,
                     None,
                 )
@@ -712,53 +742,30 @@ pub fn run_point_full(
                 max_stalled: *max_stalled,
             };
             let path = Path::new(trace);
+            // Either branch yields the summary, the driven network and the
+            // fault wrapper's permanent drops (none without a plan).
+            let run = match plan {
+                Some(plan) => {
+                    run_replay_faulted(*kind, path, &config, plan, *seed, options, tracer.clone())
+                        .map(|(summary, net)| {
+                            let drops = net.fault_stats().dropped;
+                            (summary, Box::new(net) as Box<dyn Network>, drops)
+                        })
+                }
+                None => run_replay(*kind, path, &config, options, tracer.clone())
+                    .map(|(summary, net)| (summary, net, 0)),
+            };
             // A trace that cannot be opened or replayed cleanly yields a
             // poisoned (never-cached) summary instead of a panic — the
             // CLI pre-validates traces, so this is the defense in depth.
-            let run = match plan {
-                Some(plan) => {
-                    run_replay_faulted(*kind, path, config, plan, *seed, options, tracer.clone())
-                        .map(|(summary, net)| {
-                            let audit = auditor.map(|a| {
-                                let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
-                                a.borrow_mut()
-                                    .finalize(net.stats(), net.fault_stats().dropped, end)
-                            });
-                            let metrics = exec.metrics.then(|| {
-                                let mut reg = MetricsRegistry::new();
-                                crate::replay_run::record_replay_metrics(&mut reg, &net, &summary);
-                                if let Some(report) = &audit {
-                                    report.record_metrics(&mut reg);
-                                }
-                                reg.snapshot()
-                            });
-                            (summary, metrics, audit)
-                        })
-                }
-                None => run_replay(*kind, path, config, options, tracer.clone()).map(
-                    |(summary, net)| {
-                        let audit = auditor.map(|a| {
-                            let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
-                            a.borrow_mut().finalize(net.stats(), 0, end)
-                        });
-                        let metrics = exec.metrics.then(|| {
-                            let mut reg = MetricsRegistry::new();
-                            crate::replay_run::record_replay_metrics(
-                                &mut reg,
-                                net.as_ref(),
-                                &summary,
-                            );
-                            if let Some(report) = &audit {
-                                report.record_metrics(&mut reg);
-                            }
-                            reg.snapshot()
-                        });
-                        (summary, metrics, audit)
-                    },
-                ),
-            };
             match run {
-                Ok((summary, metrics, audit)) => (PointResult::Replay(summary), metrics, audit),
+                Ok((summary, net, drops)) => {
+                    let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
+                    let (metrics, audit) = finish(net.as_ref(), drops, end, &|reg| {
+                        crate::replay_run::record_replay_metrics(reg, net.as_ref(), &summary);
+                    });
+                    (PointResult::Replay(summary), metrics, audit)
+                }
                 Err(_) => (
                     PointResult::Replay(ReplaySummary {
                         trace_packets: 0,
@@ -791,163 +798,53 @@ pub fn run_point_full(
     desim::prof::flush();
     PointRun {
         result,
+        cached: false,
         trace,
         metrics,
         audit,
     }
 }
 
-/// Executes one campaign point over a multi-chip fabric on the calling
-/// thread.
-pub fn run_point_fabric(point: &CampaignPoint, fabric: &FabricConfig) -> PointResult {
-    run_point_full_fabric(point, fabric, PointExecOptions::default()).result
-}
-
-/// [`run_point_full`] over a multi-chip fabric.
+/// Executes one campaign point through the result cache: the one cache
+/// executor behind [`Campaign::run`] and every CLI campaign.
 ///
-/// A single-chip fabric delegates straight to [`run_point_full`] with the
-/// chip configuration — the same code path, results, and cache keys as a
-/// campaign that never heard of fabrics. A multi-chip board builds the
-/// whole-board network through [`networks::build_fabric`] and drives it as
-/// one simulation: traffic and fault plans address the global
-/// [`FabricConfig::global_config`] grid, and auditing runs in fabric mode
-/// ([`Auditor::new_fabric`]), which adds the `fabric.inter-chip-bytes`
-/// reconciliation invariant.
-///
-/// # Panics
-///
-/// Coherent and replay points are single-chip harnesses; calling this with
-/// one on a multi-chip fabric panics. The CLI rejects `--chips` for those
-/// subcommands before reaching this layer.
-pub fn run_point_full_fabric(
+/// The cache is keyed by [`fabric_point_key`]. A hit whose stored type
+/// matches the point's skips the simulation and carries no side channels;
+/// a hit of another type (a key collision) is ignored and recomputed. A
+/// miss runs [`run_point_full`] and stores the result only if it is
+/// [`PointResult::cacheable`]; a failed store (read-only results dir, disk
+/// full) only costs future recomputation. Either way the point counts once
+/// in the `PointsDone` host counter.
+pub fn run_cached(
     point: &CampaignPoint,
     fabric: &FabricConfig,
+    cache: Option<&ResultCache>,
     exec: PointExecOptions,
 ) -> PointRun {
-    if fabric.is_single() {
-        return run_point_full(point, &fabric.chip, exec);
-    }
-    let global = fabric.global_config();
-    let sink = Rc::new(RefCell::new(RingSink::new(exec.trace_capacity.max(1))));
-    let auditor = exec
-        .audit
-        .then(|| Rc::new(RefCell::new(Auditor::new_fabric(point.kind(), fabric))));
-    let tracer = match (&auditor, exec.trace) {
-        (Some(a), true) => {
-            let mut tee = TeeSink::new();
-            tee.add(&sink);
-            tee.add(a);
-            Tracer::shared(&Rc::new(RefCell::new(tee)))
-        }
-        (Some(a), false) => Tracer::shared(a),
-        (None, true) => Tracer::shared(&sink),
-        (None, false) => Tracer::disabled(),
-    };
-    let (result, metrics, audit) = match point {
-        CampaignPoint::Sweep {
-            kind,
-            pattern,
-            offered,
-            options,
-        } => {
-            let (p, net) = run_load_point_traced(
-                networks::build_fabric(*kind, fabric),
-                *pattern,
-                *offered,
-                &global,
-                *options,
-                tracer,
-            );
-            let audit = auditor.map(|a| {
-                let end = Time::ZERO + options.sim + options.drain;
-                a.borrow_mut().finalize(net.stats(), 0, end)
-            });
-            let metrics = exec.metrics.then(|| {
-                let mut reg = MetricsRegistry::new();
-                reg.record_net_stats(net.stats());
-                reg.set_gauge("run.offered_load", *offered);
-                if let Some(report) = &audit {
-                    report.record_metrics(&mut reg);
+    let key = fabric_point_key(point, fabric);
+    let hit = cache
+        .and_then(|c| c.load(key))
+        .filter(|hit| hit.tag() == point.tag());
+    let run = match hit {
+        Some(result) => PointRun {
+            result,
+            cached: true,
+            trace: Vec::new(),
+            metrics: None,
+            audit: None,
+        },
+        None => {
+            let run = run_point_full(point, fabric, exec);
+            if let Some(cache) = cache {
+                if run.result.cacheable() {
+                    let _ = cache.store(key, &run.result);
                 }
-                reg.snapshot()
-            });
-            (PointResult::Sweep(p), metrics, audit)
+            }
+            run
         }
-        CampaignPoint::Fault {
-            kind,
-            pattern,
-            load,
-            plan,
-            seed,
-            sim,
-            drain,
-            max_stalled,
-        } => {
-            let horizon = Time::ZERO + *sim;
-            let mut net =
-                ResilientNetwork::new(networks::build_fabric(*kind, fabric), plan, *seed, horizon);
-            net.set_tracer(tracer.clone());
-            let peak = global.site_bandwidth_bytes_per_ns();
-            let mut traffic = OpenLoopTraffic::new(
-                &global.grid,
-                *pattern,
-                *load,
-                peak,
-                global.data_bytes,
-                *seed,
-            );
-            traffic.set_horizon(horizon);
-            let outcome = drive_traced(
-                &mut net,
-                &mut traffic,
-                DriveLimits::for_window(*sim, *drain, *max_stalled),
-                tracer,
-            );
-            let audit = auditor.map(|a| {
-                a.borrow_mut()
-                    .finalize(net.stats(), net.fault_stats().dropped, outcome.end)
-            });
-            let metrics = exec.metrics.then(|| {
-                let mut reg = MetricsRegistry::new();
-                net.record_metrics(&mut reg, outcome.end);
-                reg.set_gauge("run.offered_load", *load);
-                if let Some(report) = &audit {
-                    report.record_metrics(&mut reg);
-                }
-                reg.snapshot()
-            });
-            let s = net.fault_stats();
-            let result = PointResult::Fault(FaultSummary {
-                clean_delivered: s.clean_delivered,
-                lost: net.lost_packets(),
-                retries: s.retries,
-                availability: net.availability(),
-                clean_bytes: s.clean_bytes,
-                degraded_ns: s.time_degraded(outcome.end).as_ns_f64(),
-                end_ns: outcome.end.as_ns_f64(),
-                saturated: outcome.saturated,
-            });
-            (result, metrics, audit)
-        }
-        CampaignPoint::Coherent { .. } | CampaignPoint::Replay { .. } => panic!(
-            "{} points are single-chip harnesses; a {0} point cannot run on a {}x{} fabric",
-            point.tag(),
-            fabric.chips_per_side,
-            fabric.chips_per_side
-        ),
     };
-    let trace = if exec.trace {
-        sink.borrow().snapshot()
-    } else {
-        Vec::new()
-    };
-    desim::prof::flush();
-    PointRun {
-        result,
-        trace,
-        metrics,
-        audit,
-    }
+    desim::prof::add(desim::prof::Counter::PointsDone, 1);
+    run
 }
 
 /// Monotonic suffix for cache temp files, so concurrent workers (and
@@ -1140,37 +1037,21 @@ impl Campaign {
     /// Executes every point, sharded across [`Campaign::jobs`] workers,
     /// returning outcomes in input order (byte-identical to `jobs = 1`).
     ///
-    /// Cache consultation happens inside the worker: a hit skips the
-    /// simulation entirely, a miss simulates and persists the result. On a
-    /// key collision where the stored entry's type does not match the
-    /// point's, the entry is ignored and recomputed.
+    /// Each worker runs its point through [`run_cached`] on the one-chip
+    /// board of [`Campaign::config`]: a hit skips the simulation entirely,
+    /// a miss simulates and persists the result.
     pub fn run(&self, points: &[CampaignPoint]) -> Vec<CampaignOutcome> {
+        let fabric = FabricConfig::single(self.config);
         run_indexed(points, self.jobs, |_, point| {
-            let key = point_key(point, &self.config);
-            if let Some(cache) = &self.cache {
-                if let Some(hit) = cache.load(key) {
-                    if hit.tag() == point.tag() {
-                        desim::prof::add(desim::prof::Counter::PointsDone, 1);
-                        return CampaignOutcome {
-                            result: hit,
-                            cached: true,
-                        };
-                    }
-                }
-            }
-            let result = run_point(point, &self.config);
-            if let Some(cache) = &self.cache {
-                if result.cacheable() {
-                    // A failed store (read-only results dir, disk full)
-                    // only costs future recomputation; the campaign still
-                    // succeeds.
-                    let _ = cache.store(key, &result);
-                }
-            }
-            desim::prof::add(desim::prof::Counter::PointsDone, 1);
+            let run = run_cached(
+                point,
+                &fabric,
+                self.cache.as_ref(),
+                PointExecOptions::default(),
+            );
             CampaignOutcome {
-                result,
-                cached: false,
+                result: run.result,
+                cached: run.cached,
             }
         })
     }
@@ -1303,7 +1184,7 @@ mod tests {
                 ..SweepOptions::default()
             },
         };
-        let run = run_point_full_fabric(
+        let run = run_point_full(
             &point,
             &fabric,
             PointExecOptions {
@@ -1595,10 +1476,14 @@ mod tests {
         };
         assert!(summary.poisoned);
         assert!(!out[0].result.cacheable());
+        // No entry may be left behind: every later replay of the repaired
+        // trace would hit it. The CLI's campaigns share this executor.
+        let cache = campaign.cache.as_ref().unwrap();
+        assert_eq!(cache.stats().expect("stats").entries, 0);
         // Second run must recompute, not hit a poisoned cache entry.
         let again = campaign.run(std::slice::from_ref(&point));
         assert!(!again[0].cached);
-        let _ = std::fs::remove_dir_all(campaign.cache.as_ref().unwrap().dir());
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

@@ -196,10 +196,12 @@ pub fn run_coherent_observed<F: FnMut(&Packet)>(
 }
 
 /// [`run_coherent_with`] under the invariant auditor: the network's
-/// flight-recorder stream feeds a [`netcore::Auditor`] and the coherence
-/// engine's structural invariants (MSHR accounting, pending-line table,
-/// directory owner/sharer exclusivity) are checked after the drain. The
-/// returned report merges both layers' findings.
+/// flight-recorder stream feeds a [`netcore::Auditor`], the run closes
+/// through [`netcore::Auditor::close`] (so the slab-leak check runs on the
+/// drained network), and the coherence engine's structural invariants
+/// (MSHR accounting, pending-line table, directory owner/sharer
+/// exclusivity) are checked after the drain. The returned report merges
+/// both layers' findings.
 pub fn run_coherent_audited(
     kind: NetworkKind,
     spec: &WorkloadSpec,
@@ -259,7 +261,7 @@ fn run_coherent_full<F: FnMut(&Packet)>(
 
     let report = auditor.map(|a| {
         let end = stats.last_completion();
-        let mut report = a.borrow_mut().finalize(net.stats(), 0, end);
+        let mut report = a.borrow_mut().close(net.as_ref(), 0, end);
         report.total_violations += violations.len() as u64;
         report.violations.append(&mut violations);
         report

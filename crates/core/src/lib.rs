@@ -10,11 +10,13 @@
 //!
 //! * [`runner`] — the event loop driving any [`netcore::Network`] from
 //!   any [`netcore::PacketSource`], with injection backpressure;
-//! * [`audit_run`] — invariant-audited runs and the cross-network
-//!   differential oracle behind the `--audit` flag;
+//! * [`audit_run`] — the cross-network differential oracle: one trace
+//!   replayed through every architecture under audit;
 //! * [`campaign`] — the parallel campaign engine: deterministic sharded
 //!   execution of independent simulation points across a work-stealing
-//!   thread pool, with a content-addressed result cache;
+//!   thread pool, with a content-addressed result cache. Its one point
+//!   runner executes every point — single chip or board, audited (the
+//!   `--audit` flag) or not;
 //! * [`sweep`] — open-loop latency-vs-offered-load sweeps (Figure 6) and
 //!   saturation detection;
 //! * [`experiment`] — closed-loop coherent runs over application and
@@ -63,9 +65,7 @@ pub mod sweep;
 
 /// One-stop imports for examples and binaries.
 pub mod prelude {
-    pub use crate::audit_run::{
-        differential_replay, run_load_point_audited, run_replay_audited, DifferentialReport,
-    };
+    pub use crate::audit_run::{differential_replay, DifferentialReport};
     pub use crate::campaign::{
         run_indexed, Campaign, CampaignOutcome, CampaignPoint, FaultSummary, PointResult,
         ResultCache,

@@ -58,7 +58,7 @@
 //! ```
 
 use crate::metrics::MetricsRegistry;
-use crate::{FabricConfig, MacrochipConfig, NetStats, NetworkKind, SiteId};
+use crate::{FabricConfig, MacrochipConfig, NetStats, Network, NetworkKind, SiteId};
 use desim::trace::{TraceEvent, TraceSink};
 use desim::{Span, Time};
 use std::collections::HashMap;
@@ -130,10 +130,10 @@ struct PacketAudit {
 
 /// Streaming invariant checker over one network's trace-event stream.
 ///
-/// Feed it every event of a run (share it with the network's [`Tracer`],
-/// optionally teed with a recording sink), then call
-/// [`Auditor::finalize`] with the network's end-of-run [`NetStats`] to
-/// reconcile counters and obtain the [`AuditReport`].
+/// Feed it every event of a run (share it with the network's
+/// [`Tracer`](desim::Tracer), optionally teed with a recording sink), then
+/// call [`Auditor::close`] with the driven network to run the end-of-run
+/// checks, reconcile counters and obtain the [`AuditReport`].
 pub struct Auditor {
     kind: NetworkKind,
     config: MacrochipConfig,
@@ -219,7 +219,14 @@ impl Auditor {
     /// weakest bound valid for any board layout), and every relay hop —
     /// on-chip or gateway — must account its packet's bytes exactly once
     /// against `NetStats::routed_bytes` (`fabric.inter-chip-bytes`).
+    ///
+    /// A one-chip fabric is the bare chip, so it gets the plain
+    /// [`Auditor::new`] checker, as `networks::build_fabric` builds the
+    /// bare network for it.
     pub fn new_fabric(kind: NetworkKind, fabric: &FabricConfig) -> Auditor {
+        if fabric.is_single() {
+            return Auditor::new(kind, &fabric.chip);
+        }
         let mut a = Auditor::new(kind, &fabric.global_config());
         a.fabric = Some(*fabric);
         a
@@ -642,6 +649,18 @@ impl Auditor {
                 ),
             );
         }
+    }
+
+    /// Ends the audit of a run over `net`, which the auditor watched from
+    /// its first event: the slab-leak check ([`Auditor::check_slab_idle`])
+    /// once `net` has no pending event, then [`Auditor::finalize`]. Every
+    /// audited run closes through here, so each one checks the same
+    /// invariants.
+    pub fn close(&mut self, net: &dyn Network, fault_drops: u64, end: Time) -> AuditReport {
+        if net.next_event().is_none() {
+            self.check_slab_idle(net.slab_stats(), end);
+        }
+        self.finalize(net.stats(), fault_drops, end)
     }
 
     /// Reconciles the event-derived totals against the network's own
@@ -1489,6 +1508,82 @@ mod tests {
         b.check_slab_idle(Some(slab.stats()), Time::from_ns(50));
         b.check_slab_idle(None, Time::from_ns(50));
         assert_eq!(b.total_violations(), 0);
+    }
+
+    /// Just enough of a network for [`Auditor::close`]: its slab holds one
+    /// packet, and it may still have an event pending.
+    struct HeldPacket {
+        config: MacrochipConfig,
+        stats: NetStats,
+        pending: Option<Time>,
+    }
+
+    impl Network for HeldPacket {
+        fn kind(&self) -> NetworkKind {
+            NetworkKind::PointToPoint
+        }
+
+        fn config(&self) -> &MacrochipConfig {
+            &self.config
+        }
+
+        fn inject(&mut self, packet: crate::Packet, _now: Time) -> Result<(), crate::Packet> {
+            Err(packet)
+        }
+
+        fn next_event(&self) -> Option<Time> {
+            self.pending
+        }
+
+        fn advance(&mut self, _now: Time) {}
+
+        fn drain_delivered(&mut self) -> Vec<crate::Packet> {
+            Vec::new()
+        }
+
+        fn slab_stats(&self) -> Option<crate::SlabStats> {
+            Some(crate::SlabStats {
+                allocated: 1,
+                freed: 0,
+                live: 1,
+                high_water: 1,
+                slots: 1,
+            })
+        }
+
+        fn stats(&self) -> &NetStats {
+            &self.stats
+        }
+    }
+
+    #[test]
+    fn close_checks_the_slab_once_the_network_is_idle() {
+        let held = |pending| HeldPacket {
+            config: config(),
+            stats: NetStats::new(),
+            pending,
+        };
+        let end = Time::from_ns(50);
+        let report = auditor(NetworkKind::PointToPoint).close(&held(None), 0, end);
+        assert_eq!(report.total_violations, 1);
+        let v = &report.violations[0];
+        assert_eq!(v.check, "slab.leak");
+        assert!(v.detail.contains("1 live"), "{}", v.detail);
+
+        // With an event pending the run stopped mid-flight (saturated or
+        // timed out), so a held packet is no leak.
+        let busy = held(Some(Time::from_ns(60)));
+        let report = auditor(NetworkKind::PointToPoint).close(&busy, 0, end);
+        assert!(report.is_clean(), "{:?}", report.violation_lines());
+    }
+
+    #[test]
+    fn a_one_chip_fabric_auditor_is_the_plain_auditor() {
+        // No fabric-mode floors or `fabric.inter-chip-bytes` check for a
+        // bare chip: it answers to its own architecture's invariants.
+        let a = Auditor::new_fabric(NetworkKind::Hierarchical, &FabricConfig::single(config()));
+        assert!(a.fabric.is_none());
+        assert_eq!(a.config, config());
     }
 
     fn fabric_auditor(kind: NetworkKind) -> Auditor {

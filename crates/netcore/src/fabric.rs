@@ -105,7 +105,14 @@ impl FabricConfig {
     /// The configuration of the fabric viewed as one flat site grid:
     /// traffic patterns, fault plans and latency statistics address this
     /// global grid, while per-site provisioning stays the chip's.
+    ///
+    /// A one-chip fabric is the bare chip: its global configuration is
+    /// exactly [`FabricConfig::chip`], so every layer that simulates a
+    /// fabric simulates a one-chip board as the plain chip.
     pub fn global_config(&self) -> MacrochipConfig {
+        if self.is_single() {
+            return self.chip;
+        }
         let gs = self.global_side();
         MacrochipConfig {
             grid: Grid::new(gs),

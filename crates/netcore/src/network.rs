@@ -193,7 +193,9 @@ pub trait Network {
     /// Packet-slab allocation counters, if this network stores in-flight
     /// packets in a [`PacketSlab`](crate::PacketSlab). The audit layer
     /// uses this for its slab-leak invariant: at a clean idle, `live`
-    /// must equal 0.
+    /// must equal 0. [`Auditor::close`](crate::Auditor::close) runs that
+    /// check at the end of every audited run, so it holds under every
+    /// `--audit` command, on single chips and on boards.
     fn slab_stats(&self) -> Option<crate::SlabStats> {
         None
     }

@@ -11,7 +11,8 @@
 //! "power loss factor" column.
 //!
 //! This module intentionally models *only* the board level: on-chip
-//! provisioning stays the per-chip [`ComponentCounts`] /
+//! provisioning stays the per-chip
+//! [`ComponentCounts`](crate::inventory::ComponentCounts) /
 //! [`NetworkPower`](crate::power::NetworkPower) tables multiplied by the
 //! chip count.
 

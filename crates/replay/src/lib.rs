@@ -8,7 +8,7 @@
 //! deterministically through any of the five networks, under fault plans,
 //! and inside the parallel campaign engine.
 //!
-//! * [`format`] — the `.mtrc` container: versioned header, varint +
+//! * [`format`](mod@format) — the `.mtrc` container: versioned header, varint +
 //!   delta-encoded records, CRC32-framed blocks, streaming
 //!   [`TraceWriter`]/[`TraceReader`] in O(block) memory;
 //! * [`source`] — [`TraceSource`], a [`netcore::PacketSource`] that plays

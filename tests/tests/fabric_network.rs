@@ -4,10 +4,11 @@
 //! reconciliation invariant — and the same campaign must give identical
 //! results under every job count.
 //!
-//! The fourth test pins the compatibility contract: a one-chip
-//! [`FabricConfig`] is not "almost" the plain single-chip path, it *is*
-//! that path — same [`PointResult`], same metrics snapshot, byte for
-//! byte.
+//! The fourth test pins the compatibility contract: a point on a one-chip
+//! [`FabricConfig`] is not "almost" a plain single-chip run, it *is* that
+//! run — same [`PointResult`](macrochip::campaign::PointResult), same
+//! metrics snapshot byte for byte, same audit verdict as a bare chip
+//! driven by hand.
 //!
 //! The last test pins the fabric's batched advance: driving a board
 //! through whole batches of events per `advance` call gives the same run,
@@ -17,14 +18,14 @@ use desim::trace::{RingSink, TeeSink};
 use desim::{Span, Time, TraceEvent, Tracer};
 use faults::{FaultPlan, ResilientNetwork};
 use macrochip::campaign::{
-    run_indexed, run_point_fabric, run_point_full, run_point_full_fabric, CampaignPoint,
-    PointExecOptions, PointRun,
+    run_indexed, run_point_full, CampaignPoint, FaultSummary, PointExecOptions, PointResult,
+    PointRun,
 };
 use macrochip::runner::{drive_traced, DriveLimits, RunOutcome};
-use macrochip::sweep::SweepOptions;
+use macrochip::sweep::{run_load_point_traced, SweepOptions};
 use netcore::{
-    Auditor, FabricConfig, FaultResponse, MacrochipConfig, NetFault, NetStats, Network,
-    NetworkKind, Packet, SlabStats,
+    AuditReport, Auditor, FabricConfig, FaultResponse, MacrochipConfig, MetricsRegistry,
+    MetricsSnapshot, NetFault, NetStats, Network, NetworkKind, Packet, SlabStats,
 };
 use networks::FabricNetwork;
 use std::cell::RefCell;
@@ -83,7 +84,7 @@ fn fault_point(kind: NetworkKind) -> CampaignPoint {
 
 /// Full-fat execution: metrics + audit, so every layer of the point runs.
 fn audited(point: &CampaignPoint) -> PointRun {
-    run_point_full_fabric(
+    run_point_full(
         point,
         &fabric(),
         PointExecOptions {
@@ -142,9 +143,10 @@ fn fabric_campaign_is_job_count_invariant() {
         }
         points.push(fault_point(kind));
     }
-    let serial = run_indexed(&points, 1, |_, p| run_point_fabric(p, &board));
+    let run = |_, p: &CampaignPoint| run_point_full(p, &board, PointExecOptions::default()).result;
+    let serial = run_indexed(&points, 1, run);
     for jobs in [2, 4, 0] {
-        let parallel = run_indexed(&points, jobs, |_, p| run_point_fabric(p, &board));
+        let parallel = run_indexed(&points, jobs, run);
         assert_eq!(
             serial, parallel,
             "fabric campaign diverged between 1 job and {jobs} jobs"
@@ -152,39 +154,125 @@ fn fabric_campaign_is_job_count_invariant() {
     }
 }
 
-/// The compatibility contract: a single-chip fabric IS the plain
-/// single-chip path. Same results, same metrics bytes, same audit
-/// verdict — so `--chips 1` (and every pre-fabric caller) is provably
+/// The compatibility contract: a point on a single-chip fabric IS a plain
+/// single-chip run. The campaign runner's result, metrics bytes and audit
+/// verdict must equal those of a bare chip built, driven and audited by
+/// hand — so `--chips 1` (and every pre-fabric caller) is provably
 /// unchanged.
 #[test]
 fn single_chip_fabric_points_match_plain_points() {
     let chip = MacrochipConfig::with_side(4);
     let single = FabricConfig::single(chip);
-    let exec = || PointExecOptions {
+    assert_eq!(single.global_config(), chip);
+    let exec = PointExecOptions {
         metrics: true,
         audit: true,
         ..PointExecOptions::default()
     };
     for kind in FABRIC_KINDS {
         for point in [sweep_point(kind, 0.03), fault_point(kind)] {
-            let plain = run_point_full(&point, &chip, exec());
-            let via_fabric = run_point_full_fabric(&point, &single, exec());
+            let via_fabric = run_point_full(&point, &single, exec);
+            let (result, metrics, audit) = bare_chip_run(&point, &chip);
             assert_eq!(
-                plain.result, via_fabric.result,
-                "{kind}: single-chip fabric result differs from the plain path"
+                result, via_fabric.result,
+                "{kind}: single-chip fabric result differs from the bare chip"
             );
             assert_eq!(
-                plain.metrics.as_ref().map(|m| m.to_json()),
+                Some(metrics.to_json()),
                 via_fabric.metrics.as_ref().map(|m| m.to_json()),
-                "{kind}: single-chip fabric metrics differ from the plain path"
+                "{kind}: single-chip fabric metrics differ from the bare chip"
             );
             assert_eq!(
-                plain.audit.as_ref().map(|a| a.is_clean()),
+                Some(audit.is_clean()),
                 via_fabric.audit.as_ref().map(|a| a.is_clean()),
-                "{kind}: single-chip fabric audit verdict differs from the plain path"
+                "{kind}: single-chip fabric audit verdict differs from the bare chip"
             );
         }
     }
+}
+
+/// `point` on a bare `chip` with no campaign or fabric code: the network
+/// from `networks::build`, a plain [`Auditor::new`] on its tracer, and the
+/// metrics the campaign runner records for the point's type.
+fn bare_chip_run(
+    point: &CampaignPoint,
+    chip: &MacrochipConfig,
+) -> (PointResult, MetricsSnapshot, AuditReport) {
+    let auditor = Rc::new(RefCell::new(Auditor::new(point.kind(), chip)));
+    let tracer = Tracer::shared(&auditor);
+    let audit = |net: &dyn Network, fault_drops: u64, end: Time| {
+        let mut a = auditor.borrow_mut();
+        if net.next_event().is_none() {
+            a.check_slab_idle(net.slab_stats(), end);
+        }
+        a.finalize(net.stats(), fault_drops, end)
+    };
+    let mut reg = MetricsRegistry::new();
+    let (result, report) = match point {
+        CampaignPoint::Sweep {
+            kind,
+            pattern,
+            offered,
+            options,
+        } => {
+            let (p, net) = run_load_point_traced(
+                networks::build(*kind, *chip),
+                *pattern,
+                *offered,
+                chip,
+                *options,
+                tracer,
+            );
+            let report = audit(net.as_ref(), 0, Time::ZERO + options.sim + options.drain);
+            reg.record_net_stats(net.stats());
+            reg.set_gauge("run.offered_load", *offered);
+            (PointResult::Sweep(p), report)
+        }
+        CampaignPoint::Fault {
+            kind,
+            pattern,
+            load,
+            plan,
+            seed,
+            sim,
+            drain,
+            max_stalled,
+        } => {
+            let horizon = Time::ZERO + *sim;
+            let mut net =
+                ResilientNetwork::new(networks::build(*kind, *chip), plan, *seed, horizon);
+            net.set_tracer(tracer.clone());
+            let mut traffic = OpenLoopTraffic::new(
+                &chip.grid,
+                *pattern,
+                *load,
+                chip.site_bandwidth_bytes_per_ns(),
+                chip.data_bytes,
+                *seed,
+            );
+            traffic.set_horizon(horizon);
+            let limits = DriveLimits::for_window(*sim, *drain, *max_stalled);
+            let outcome = drive_traced(&mut net, &mut traffic, limits, tracer);
+            let report = audit(&net, net.fault_stats().dropped, outcome.end);
+            net.record_metrics(&mut reg, outcome.end);
+            reg.set_gauge("run.offered_load", *load);
+            let s = net.fault_stats();
+            let summary = FaultSummary {
+                clean_delivered: s.clean_delivered,
+                lost: net.lost_packets(),
+                retries: s.retries,
+                availability: net.availability(),
+                clean_bytes: s.clean_bytes,
+                degraded_ns: s.time_degraded(outcome.end).as_ns_f64(),
+                end_ns: outcome.end.as_ns_f64(),
+                saturated: outcome.saturated,
+            };
+            (PointResult::Fault(summary), report)
+        }
+        other => panic!("no bare-chip reference for a {} point", other.tag()),
+    };
+    report.record_metrics(&mut reg);
+    (result, reg.snapshot(), report)
 }
 
 /// A network the runner must drive one event at a time: it forwards every

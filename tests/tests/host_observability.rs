@@ -10,7 +10,7 @@ use desim::{Span, Tracer};
 use macrochip::campaign::{run_point_full, CampaignPoint, PointExecOptions};
 use macrochip::prelude::*;
 use macrochip::sweep::run_load_point_traced;
-use netcore::{MacrochipConfig, MetricsRegistry};
+use netcore::{FabricConfig, MacrochipConfig, MetricsRegistry};
 use proptest::prelude::*;
 use std::sync::Mutex;
 use workloads::Pattern;
@@ -141,7 +141,7 @@ fn profiled_campaign_point_matches_unprofiled() {
         let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
         let was = prof::enabled();
         prof::set_enabled(enabled);
-        let run = run_point_full(&point, &config, exec);
+        let run = run_point_full(&point, &FabricConfig::single(config), exec);
         prof::set_enabled(was);
         run.metrics.expect("metrics requested").to_json()
     };
