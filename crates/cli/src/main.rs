@@ -15,7 +15,11 @@
 //! macrochip cache     stats | prune [--max-bytes N] [--older-than SPAN]
 //! ```
 //!
-//! Argument parsing is deliberately dependency-free.
+//! Argument parsing is deliberately dependency-free. The four campaign
+//! commands (sweep, faults, run-all, replay) differ only in their flags,
+//! their point lists and their manifests: [`run_campaign`] runs and files
+//! their points, and [`write_outputs`] writes what every measuring command
+//! exports.
 
 use coherence::EngineConfig;
 use desim::prof;
@@ -106,11 +110,14 @@ FAULT SPEC (clauses joined with ';'):
     rand-links=N    transient=P | transient=xtalk:K
     repair=SPAN     retries=N     backoff=SPAN   no-recovery
 
-OUTPUT (sweep, sustained, faults, run-all):
-    --trace <FILE>     write a Chrome-trace-event JSON flight recording
-                       (open in ui.perfetto.dev or chrome://tracing)
-    --metrics <FILE>   write metrics and a run manifest; JSON, or CSV when
-                       the file name ends in .csv
+OUTPUT (each flag names the commands that take it):
+    --trace <FILE>     (sweep, sustained, faults, run-all; replay calls it
+                       --trace-out, as its --trace is the input) write a
+                       Chrome-trace-event JSON flight recording (open in
+                       ui.perfetto.dev or chrome://tracing)
+    --metrics <FILE>   (sweep, sustained, faults, run-all, replay) write
+                       metrics and a run manifest; JSON, or CSV when the
+                       file name ends in .csv
     --audit            (sweep, faults, run-all, coherent, replay) run the
                        invariant auditor over every point: packet
                        conservation, causality and physical latency
@@ -118,24 +125,28 @@ OUTPUT (sweep, sustained, faults, run-all):
                        Violations are printed with packet id, site and sim
                        time, exported as the audit.* metrics family, and
                        fail the command with a nonzero exit.
-    -q, --quiet        suppress the result table on stdout
-    -v, --verbose      report progress on stderr as each point completes
-    --progress         stream a live status line to stderr every 500 ms
-                       (points done, furthest sim time, events, events/sec,
-                       ETA) read from the always-on host counters; never
-                       perturbs results
+    -q, --quiet        (every --metrics or --audit command, and capture)
+                       suppress the result table and the audit summary
+    -v, --verbose      (every --metrics command) print one stderr line
+                       per point, prefixed with the command name
+    --progress         (sweep, faults, run-all, replay) stream a live
+                       status line to stderr every 500 ms (points done,
+                       furthest sim time, events, events/sec, ETA) read
+                       from the always-on host counters; never perturbs
+                       results
     --host-metrics     append a host.* metrics family (wall-clock,
                        events/sec, peak RSS, profiler span table) to the
                        --metrics output. Host figures are wall-clock
                        derived and nondeterministic, so they are off by
                        default to keep exported snapshots byte-identical
                        across reruns
-    --profile          enable the span profiler (event dispatch, network
-                       step, injection, source, trace fan-out, audit) and
-                       print its self/total table to stderr on completion.
-                       Simulation results are byte-identical either way
+    --profile          (every command) enable the span profiler (event
+                       dispatch, network step, injection, source, trace
+                       fan-out, audit) and print its self/total table to
+                       stderr last. Simulation results are byte-identical
+                       either way
 
-PARALLELISM (sweep, faults, run-all — campaign engine):
+PARALLELISM (sweep, faults, run-all, replay — campaign engine):
     --jobs <N>         shard independent points across N worker threads
                        (default 1 = serial; 0 = one per hardware thread).
                        Output is byte-identical for every N.
@@ -175,49 +186,38 @@ struct OutputOpts {
     /// (`--host-metrics`); off by default so metrics files stay
     /// byte-identical across reruns.
     host_metrics: bool,
-    /// Span profiler requested (`--profile`); parsing the flag also
-    /// enables the profiler so every span from here on is recorded.
-    profile: bool,
+    /// When the command started and the host event counter then, for the
+    /// manifest's wall-clock and events/sec.
+    started: Instant,
+    events_base: u64,
 }
 
 impl OutputOpts {
-    fn parse(args: &[String]) -> OutputOpts {
-        let profile = args.iter().any(|a| a == "--profile");
-        if profile {
-            prof::set_enabled(true);
-        }
+    /// `trace_flag` names the Chrome-trace output: `--trace`, except on
+    /// replay, whose `--trace` is its input `.mtrc` and must never be
+    /// written.
+    fn parse(args: &[String], trace_flag: &str) -> OutputOpts {
         OutputOpts {
-            trace: flag(args, "--trace"),
+            trace: flag(args, trace_flag),
             metrics: flag(args, "--metrics"),
-            audit: args.iter().any(|a| a == "--audit"),
-            quiet: args.iter().any(|a| a == "-q" || a == "--quiet"),
-            verbose: args.iter().any(|a| a == "-v" || a == "--verbose"),
-            progress: args.iter().any(|a| a == "--progress"),
-            host_metrics: args.iter().any(|a| a == "--host-metrics"),
-            profile,
+            audit: switch(args, "--audit"),
+            quiet: switch(args, "-q") || switch(args, "--quiet"),
+            verbose: switch(args, "-v") || switch(args, "--verbose"),
+            progress: switch(args, "--progress"),
+            host_metrics: switch(args, "--host-metrics"),
+            started: Instant::now(),
+            events_base: prof::counter(prof::Counter::SimEvents),
         }
     }
 
-    /// Prints the profiler's self/total span table to stderr when
-    /// `--profile` was given. Call once, after the work is done.
-    fn finish_profile(&self) {
-        if self.profile {
-            eprint!("{}", prof::report().table());
+    /// The side channels each point must record for these outputs.
+    fn exec(&self) -> PointExecOptions {
+        PointExecOptions {
+            trace: self.trace.is_some(),
+            metrics: self.metrics.is_some(),
+            audit: self.audit,
+            trace_capacity: TRACE_EVENTS_PER_POINT,
         }
-    }
-}
-
-/// The host.* metrics record appended to `--metrics` output when
-/// `--host-metrics` is given: wall-clock, throughput, peak RSS and the
-/// profiler span table, flattened under a pseudo-network named `host`.
-fn host_record(wall_ms: f64) -> RunRecord {
-    let mut reg = MetricsRegistry::new();
-    reg.record_host_stats(wall_ms, &prof::report());
-    RunRecord {
-        network: "host".into(),
-        offered: 0.0,
-        saturated: false,
-        snapshot: reg.snapshot(),
     }
 }
 
@@ -270,7 +270,8 @@ impl AuditLog {
     }
 }
 
-/// Campaign-engine controls shared by `sweep`, `faults` and `run-all`.
+/// Campaign-engine controls shared by `sweep`, `faults`, `run-all` and
+/// `replay`.
 struct JobOpts {
     /// Worker threads; `0` auto-detects, `1` (the default) is serial.
     jobs: usize,
@@ -286,7 +287,7 @@ impl JobOpts {
         };
         Ok(JobOpts {
             jobs,
-            no_cache: args.iter().any(|a| a == "--no-cache"),
+            no_cache: switch(args, "--no-cache"),
         })
     }
 }
@@ -307,15 +308,6 @@ fn open_cache(
         .map_err(|e| format!("opening cache {}: {e}", dir.display()))
 }
 
-/// Manifest description of how the cache behaved over a campaign.
-fn cache_summary(enabled: bool, hits: usize, total: usize) -> String {
-    if enabled {
-        format!("{hits}/{total} points from cache")
-    } else {
-        "disabled".into()
-    }
-}
-
 /// One exported measurement: run label, offered load, its metrics.
 struct RunRecord {
     network: String,
@@ -324,8 +316,195 @@ struct RunRecord {
     snapshot: MetricsSnapshot,
 }
 
-fn write_trace(path: &str, sections: &[(String, Vec<(Time, TraceEvent)>)]) -> Result<(), String> {
-    std::fs::write(path, chrome_trace_json(sections)).map_err(|e| format!("writing {path}: {e}"))
+/// A campaign's points, filed in point order: one result table per point
+/// type, and the side channels [`CampaignRun::finish`] exports.
+struct CampaignRun {
+    sweep: Table,
+    fault: Table,
+    replay: Table,
+    /// Sweep points that saturated.
+    saturated: usize,
+    sections: Vec<(String, Vec<(Time, TraceEvent)>)>,
+    /// One metrics record per point that recorded a snapshot.
+    runs: Vec<RunRecord>,
+    audit: AuditLog,
+    /// Resolved worker count.
+    jobs: usize,
+    cache: Option<campaign::ResultCache>,
+    hits: usize,
+    points: usize,
+}
+
+/// The one campaign driver behind sweep, faults, run-all and replay. Runs
+/// `points` on `--jobs` workers through the result cache, with live
+/// progress, then files each point in order: its row in the table for its
+/// result type, its audit report, trace section, metrics record and `-v`
+/// line, each under the label that point type has always carried.
+fn run_campaign(
+    cmd: &str,
+    points: &[CampaignPoint],
+    fabric: &FabricConfig,
+    exec: PointExecOptions,
+    jobs: &JobOpts,
+    out: &OutputOpts,
+) -> Result<CampaignRun, String> {
+    let cache = open_cache(jobs.no_cache, exec.trace || exec.metrics || exec.audit)?;
+    let cells = {
+        let _progress = ProgressReporter::start(cmd, points.len(), out.progress);
+        run_indexed(points, jobs.jobs, |_, point| {
+            campaign::run_cached(point, fabric, cache.as_ref(), exec)
+        })
+    };
+    let mut run = CampaignRun {
+        sweep: report::sweep_table(),
+        fault: report::fault_table(),
+        replay: report::replay_table(),
+        saturated: 0,
+        sections: Vec::new(),
+        runs: Vec::new(),
+        audit: AuditLog::new(exec.audit),
+        jobs: campaign::resolve_jobs(jobs.jobs),
+        hits: cells.iter().filter(|cell| cell.cached).count(),
+        cache,
+        points: points.len(),
+    };
+    for (point, cell) in points.iter().zip(cells) {
+        let kind = point.kind();
+        let name = kind.name();
+        // (audit label, trace label, load on record, saturated, -v line)
+        let (audit_label, trace_label, offered, saturated, line) = match (point, &cell.result) {
+            (
+                &CampaignPoint::Sweep {
+                    pattern, offered, ..
+                },
+                PointResult::Sweep(p),
+            ) => {
+                run.saturated += usize::from(p.saturated);
+                report::sweep_row(&mut run.sweep, kind, p);
+                (
+                    format!("{name} @ {}%", fmt(offered * 100.0, 1)),
+                    format!(
+                        "{name} @ {}% {}",
+                        fmt(offered * 100.0, 0),
+                        names::pattern_code(pattern)
+                    ),
+                    offered,
+                    p.saturated,
+                    format!(
+                        "{name} @ {:.1}%: mean {:.2} ns, p99 {:.2} ns{}",
+                        offered * 100.0,
+                        p.mean_latency_ns,
+                        p.p99_latency_ns,
+                        if p.saturated { " (saturated)" } else { "" }
+                    ),
+                )
+            }
+            (&CampaignPoint::Fault { load, .. }, PointResult::Fault(f)) => {
+                report::fault_row(&mut run.fault, kind, f);
+                let label = format!("{name} faults");
+                let line = format!(
+                    "{name}: availability {:.4}, {} retries, {} dropped",
+                    f.availability, f.retries, f.lost
+                );
+                (label.clone(), label, load, f.saturated, line)
+            }
+            (CampaignPoint::Replay { trace, .. }, PointResult::Replay(r)) => {
+                if r.poisoned {
+                    return Err(format!(
+                        "replaying {trace} on {name}: trace failed mid-replay after validation"
+                    ));
+                }
+                report::replay_row(&mut run.replay, kind, r);
+                let label = format!("{name} replay");
+                let line = format!(
+                    "{name}: {}/{} delivered, mean {:.2} ns",
+                    r.delivered, r.trace_packets, r.mean_latency_ns
+                );
+                (label.clone(), label, f64::NAN, r.saturated, line)
+            }
+            _ => unreachable!("campaign returned a mismatched result type"),
+        };
+        run.audit.absorb(&audit_label, cell.audit.as_ref());
+        if exec.trace {
+            run.sections.push((trace_label, cell.trace));
+        }
+        if let Some(snapshot) = cell.metrics {
+            run.runs.push(RunRecord {
+                network: name.to_string(),
+                offered,
+                saturated,
+                snapshot,
+            });
+        }
+        if out.verbose {
+            let cached = if cell.cached { " (cached)" } else { "" };
+            eprintln!("[{cmd}] {line}{cached}");
+        }
+    }
+    if out.verbose {
+        eprintln!(
+            "[{cmd}] {} points, {} from cache, jobs={}, {:.2} s",
+            run.points,
+            run.hits,
+            run.jobs,
+            out.started.elapsed().as_secs_f64()
+        );
+    }
+    Ok(run)
+}
+
+impl CampaignRun {
+    /// Completes `manifest` with how the engine ran, writes the outputs,
+    /// prints `text` unless `-q` and renders the audit verdict.
+    fn finish(self, out: &OutputOpts, mut manifest: RunManifest, text: &str) -> Result<(), String> {
+        manifest.jobs = self.jobs;
+        if let Some(cache) = &self.cache {
+            manifest.cache = format!("{}/{} points from cache", self.hits, self.points);
+            manifest.cache_dir = cache.dir().display().to_string();
+        }
+        write_outputs(out, manifest, &self.sections, self.runs)?;
+        if !out.quiet {
+            println!("{text}");
+        }
+        self.audit.finish(out.quiet)
+    }
+}
+
+/// The one output writer of every measuring command: writes `--trace`,
+/// and `--metrics` with the manifest's host figures plus, under
+/// `--host-metrics`, the host.* record.
+fn write_outputs(
+    out: &OutputOpts,
+    mut manifest: RunManifest,
+    sections: &[(String, Vec<(Time, TraceEvent)>)],
+    mut runs: Vec<RunRecord>,
+) -> Result<(), String> {
+    if let Some(path) = &out.trace {
+        std::fs::write(path, chrome_trace_json(sections))
+            .map_err(|e| format!("writing {path}: {e}"))?;
+    }
+    if let Some(path) = &out.metrics {
+        manifest.set_host_stats(out.started.elapsed().as_secs_f64() * 1e3, out.events_base);
+        if out.host_metrics {
+            runs.push(host_record(manifest.wall_clock_ms));
+        }
+        write_metrics(path, &manifest, &runs)?;
+    }
+    Ok(())
+}
+
+/// The host.* metrics record appended to `--metrics` output when
+/// `--host-metrics` is given: wall-clock, throughput, peak RSS and the
+/// profiler span table, flattened under a pseudo-network named `host`.
+fn host_record(wall_ms: f64) -> RunRecord {
+    let mut reg = MetricsRegistry::new();
+    reg.record_host_stats(wall_ms, &prof::report());
+    RunRecord {
+        network: "host".into(),
+        offered: 0.0,
+        saturated: false,
+        snapshot: reg.snapshot(),
+    }
 }
 
 fn write_metrics(path: &str, manifest: &RunManifest, runs: &[RunRecord]) -> Result<(), String> {
@@ -375,6 +554,58 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// True when the bare switch `name` is present.
+fn switch(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == name)
+}
+
+/// `--<what>` (or `default` when absent) and the value `parse` names by
+/// it: `--network` and `--pattern`.
+fn named_arg<T>(
+    args: &[String],
+    what: &str,
+    default: Option<&str>,
+    parse: fn(&str) -> Option<T>,
+) -> Result<(String, T), String> {
+    let arg = flag(args, &format!("--{what}"))
+        .or_else(|| default.map(String::from))
+        .ok_or_else(|| format!("missing --{what}"))?;
+    let value = parse(&arg).ok_or_else(|| format!("unknown {what}"))?;
+    Ok((arg, value))
+}
+
+/// The run window, stall bound and seed of faults, run-all, capture and
+/// replay: `SweepOptions::default()` (5 us of traffic, 20 us of drain),
+/// with `--seed <N>` and with the 1 us + 5 us window of
+/// `--duration-short`.
+fn run_options(args: &[String]) -> Result<SweepOptions, String> {
+    let mut options = SweepOptions::default();
+    if let Some(s) = flag(args, "--seed") {
+        options.seed = s.parse().map_err(|_| format!("bad --seed {s}"))?;
+    }
+    if switch(args, "--duration-short") {
+        options.sim = Span::from_us(1);
+        options.drain = Span::from_us(5);
+    }
+    Ok(options)
+}
+
+/// `name` as a coherent workload at `--ops` operations per core (default
+/// 40), refused when the grid is too large for it.
+fn workload_from_args(
+    name: &str,
+    args: &[String],
+    config: &MacrochipConfig,
+) -> Result<WorkloadSpec, String> {
+    let ops: u32 = flag(args, "--ops")
+        .map(|s| s.parse().map_err(|_| "bad --ops"))
+        .transpose()?
+        .unwrap_or(40);
+    let spec = names::parse_workload(name, ops).ok_or("unknown workload")?;
+    spec.check_grid(&config.grid)?;
+    Ok(spec)
+}
+
 /// Builds the simulated macrochip from `--side <N>`: the paper's 8×8 by
 /// default, or an N×N grid with per-site bandwidths held at the paper's
 /// figures (see `MacrochipConfig::with_side`).
@@ -421,7 +652,7 @@ fn fabric_from_args(args: &[String]) -> Result<FabricConfig, String> {
 
 /// Rejects `--chips` on subcommands whose harnesses are single-chip.
 fn reject_chips(args: &[String], cmd: &str) -> Result<(), String> {
-    if args.iter().any(|a| a == "--chips") {
+    if switch(args, "--chips") {
         return Err(format!(
             "`{cmd}` is a single-chip harness and does not take --chips \
              (multi-chip boards run: tables, sweep, faults, run-all)"
@@ -479,26 +710,15 @@ fn cmd_tables(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let out = OutputOpts::parse(args);
-    let fabric = fabric_from_args(args)?;
-    let config = fabric.global_config();
-    let network_arg = flag(args, "--network").ok_or("missing --network")?;
-    let kinds = names::parse_networks(&network_arg).ok_or("unknown network")?;
-    let pattern_arg = flag(args, "--pattern").ok_or("missing --pattern")?;
-    let pattern = names::parse_pattern(&pattern_arg).ok_or("unknown pattern")?;
-    let loads: Vec<f64> = match flag(args, "--loads") {
-        Some(s) => s.split(',').map(parse_load).collect::<Result<_, _>>()?,
-        None => macrochip::sweep::figure6_loads(pattern),
-    };
-    let jobs = JobOpts::parse(args)?;
-    let options = SweepOptions::default();
-    let started = Instant::now();
-    let events_base = prof::counter(prof::Counter::SimEvents);
-    // Every (network, load) cell is one independent campaign point, listed
-    // in table order; the campaign engine hands the results back in that
-    // same order no matter how many workers computed them.
-    let points: Vec<CampaignPoint> = kinds
+/// Every (network, load) cell as one independent campaign point, in
+/// table order.
+fn sweep_points(
+    kinds: &[NetworkKind],
+    pattern: Pattern,
+    loads: &[f64],
+    options: SweepOptions,
+) -> Vec<CampaignPoint> {
+    kinds
         .iter()
         .flat_map(|&kind| {
             loads.iter().map(move |&offered| CampaignPoint::Sweep {
@@ -508,126 +728,89 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                 options,
             })
         })
-        .collect();
-    let exec = PointExecOptions {
-        trace: out.trace.is_some(),
-        metrics: out.metrics.is_some(),
-        audit: out.audit,
-        trace_capacity: TRACE_EVENTS_PER_POINT,
-    };
-    let cache = open_cache(jobs.no_cache, exec.trace || exec.metrics || exec.audit)?;
-    let cells = {
-        let _progress = ProgressReporter::start("sweep", points.len(), out.progress);
-        run_indexed(&points, jobs.jobs, |_, point| {
-            campaign::run_cached(point, &fabric, cache.as_ref(), exec)
-        })
-    };
+        .collect()
+}
 
-    let mut table = report::sweep_table();
-    let mut sections: Vec<(String, Vec<(Time, TraceEvent)>)> = Vec::new();
-    let mut runs: Vec<RunRecord> = Vec::new();
-    let mut audit_log = AuditLog::new(out.audit);
-    let mut saturated_points = 0usize;
-    let mut cache_hits = 0usize;
-    for (point, cell) in points.iter().zip(cells) {
-        let &CampaignPoint::Sweep {
+/// One fault-campaign point per network; each worker builds its own
+/// resilient network, fault RNG and traffic source, so points shard
+/// cleanly and deterministically.
+fn fault_points(
+    kinds: &[NetworkKind],
+    pattern: Pattern,
+    load: f64,
+    plan: &faults::FaultPlan,
+    options: SweepOptions,
+) -> Vec<CampaignPoint> {
+    kinds
+        .iter()
+        .map(|&kind| CampaignPoint::Fault {
             kind,
-            offered: load,
-            ..
-        } = point
-        else {
-            unreachable!("sweep campaign holds only sweep points");
-        };
-        let cached = cell.cached;
-        cache_hits += usize::from(cached);
-        audit_log.absorb(
-            &format!("{} @ {}%", kind.name(), fmt(load * 100.0, 1)),
-            cell.audit.as_ref(),
-        );
-        let PointResult::Sweep(p) = cell.result else {
-            unreachable!("sweep point produced a non-sweep result");
-        };
-        saturated_points += usize::from(p.saturated);
-        report::sweep_row(&mut table, kind, &p);
-        if out.trace.is_some() {
-            let label = format!(
-                "{} @ {}% {}",
-                kind.name(),
-                fmt(load * 100.0, 0),
-                pattern_arg
-            );
-            sections.push((label, cell.trace));
-        }
-        if out.metrics.is_some() {
-            runs.push(RunRecord {
-                network: kind.name().to_string(),
-                offered: load,
-                saturated: p.saturated,
-                snapshot: cell.metrics.expect("metrics were requested"),
-            });
-        }
-        if out.verbose {
-            eprintln!(
-                "[sweep] {} @ {:.1}%: mean {:.2} ns, p99 {:.2} ns{}{}",
-                kind.name(),
-                load * 100.0,
-                p.mean_latency_ns,
-                p.p99_latency_ns,
-                if p.saturated { " (saturated)" } else { "" },
-                if cached { " (cached)" } else { "" }
-            );
-        }
-    }
-    if let Some(path) = &out.trace {
-        write_trace(path, &sections)?;
-    }
-    if let Some(path) = &out.metrics {
-        let mut manifest = RunManifest::new("sweep", &config);
-        manifest.network = network_arg;
-        manifest.pattern = pattern_arg;
-        manifest.seed = options.seed;
-        manifest.set_limits(DriveLimits::for_window(
-            options.sim,
-            options.drain,
-            options.max_stalled,
-        ));
-        manifest.jobs = campaign::resolve_jobs(jobs.jobs);
-        manifest.cache = cache_summary(cache.is_some(), cache_hits, points.len());
-        if let Some(c) = &cache {
-            manifest.cache_dir = c.dir().display().to_string();
-        }
-        manifest.outcome = format!("{saturated_points}/{} points saturated", points.len());
-        manifest.set_host_stats(started.elapsed().as_secs_f64() * 1e3, events_base);
-        if out.host_metrics {
-            runs.push(host_record(manifest.wall_clock_ms));
-        }
-        write_metrics(path, &manifest, &runs)?;
-    }
-    if !out.quiet {
-        println!("{}", table.to_text());
-    }
-    out.finish_profile();
-    audit_log.finish(out.quiet)
+            pattern,
+            load,
+            plan: plan.clone(),
+            seed: options.seed,
+            sim: options.sim,
+            drain: options.drain,
+            max_stalled: options.max_stalled,
+        })
+        .collect()
+}
+
+/// A manifest for `cmd` naming its network and pattern arguments, its seed
+/// and the drive window of `options`.
+fn manifest_for(
+    cmd: &str,
+    config: &MacrochipConfig,
+    network: String,
+    pattern: String,
+    options: SweepOptions,
+) -> RunManifest {
+    let mut manifest = RunManifest::new(cmd, config);
+    manifest.network = network;
+    manifest.pattern = pattern;
+    manifest.seed = options.seed;
+    manifest.set_limits(DriveLimits::for_window(
+        options.sim,
+        options.drain,
+        options.max_stalled,
+    ));
+    manifest
+}
+
+fn cmd_sweep(args: &[String]) -> Result<(), String> {
+    let out = OutputOpts::parse(args, "--trace");
+    let fabric = fabric_from_args(args)?;
+    let (network_arg, kinds) = named_arg(args, "network", None, names::parse_networks)?;
+    let (pattern_arg, pattern) = named_arg(args, "pattern", None, names::parse_pattern)?;
+    let loads: Vec<f64> = match flag(args, "--loads") {
+        Some(s) => s.split(',').map(parse_load).collect::<Result<_, _>>()?,
+        None => macrochip::sweep::figure6_loads(pattern),
+    };
+    let jobs = JobOpts::parse(args)?;
+    let options = SweepOptions::default();
+    let points = sweep_points(&kinds, pattern, &loads, options);
+    let run = run_campaign("sweep", &points, &fabric, out.exec(), &jobs, &out)?;
+    let config = fabric.global_config();
+    let mut manifest = manifest_for("sweep", &config, network_arg, pattern_arg, options);
+    manifest.outcome = format!("{}/{} points saturated", run.saturated, points.len());
+    let text = run.sweep.to_text();
+    run.finish(&out, manifest, &text)
 }
 
 fn cmd_sustained(args: &[String]) -> Result<(), String> {
     reject_chips(args, "sustained")?;
-    let out = OutputOpts::parse(args);
+    let out = OutputOpts::parse(args, "--trace");
     let config = config_from_args(args)?;
-    let network_arg = flag(args, "--network").ok_or("missing --network")?;
-    let kinds = names::parse_networks(&network_arg).ok_or("unknown network")?;
-    let pattern_arg = flag(args, "--pattern").ok_or("missing --pattern")?;
-    let pattern = names::parse_pattern(&pattern_arg).ok_or("unknown pattern")?;
+    let (network_arg, kinds) = named_arg(args, "network", None, names::parse_networks)?;
+    let (pattern_arg, pattern) = named_arg(args, "pattern", None, names::parse_pattern)?;
     let options = SweepOptions::default();
-    let started = Instant::now();
-    let events_base = prof::counter(prof::Counter::SimEvents);
     let mut table = Table::new(&[
         "Network",
         "Sustained (% peak)",
         "Throughput (GB/s)",
         "p99 latency (ns)",
     ]);
-    let mut sections: Vec<(String, Vec<(Time, TraceEvent)>)> = Vec::new();
+    let mut sections = Vec::new();
     let mut runs: Vec<RunRecord> = Vec::new();
     for &kind in &kinds {
         let f = sustained_bandwidth(kind, pattern, &config, options, 0.01);
@@ -680,65 +863,51 @@ fn cmd_sustained(args: &[String]) -> Result<(), String> {
             );
         }
     }
-    if let Some(path) = &out.trace {
-        write_trace(path, &sections)?;
-    }
-    if let Some(path) = &out.metrics {
-        let mut manifest = RunManifest::new("sustained", &config);
-        manifest.network = network_arg;
-        manifest.pattern = pattern_arg;
-        manifest.seed = options.seed;
-        manifest.set_limits(DriveLimits {
-            deadline: Time::ZERO + options.sim + options.drain,
-            max_stalled: options.max_stalled,
-        });
-        manifest.set_host_stats(started.elapsed().as_secs_f64() * 1e3, events_base);
-        if out.host_metrics {
-            runs.push(host_record(manifest.wall_clock_ms));
-        }
-        write_metrics(path, &manifest, &runs)?;
-    }
+    let manifest = manifest_for("sustained", &config, network_arg, pattern_arg, options);
+    write_outputs(&out, manifest, &sections, runs)?;
     if !out.quiet {
         println!("{}", table.to_text());
     }
-    out.finish_profile();
     Ok(())
 }
 
+/// Runs each network's closed-loop point serially and uncached through
+/// the campaign executor, audited under `--audit`.
 fn cmd_coherent(args: &[String]) -> Result<(), String> {
     reject_chips(args, "coherent")?;
     let config = config_from_args(args)?;
-    let ops: u32 = flag(args, "--ops")
-        .map(|s| s.parse().map_err(|_| "bad --ops"))
-        .transpose()?
-        .unwrap_or(40);
-    let spec = names::parse_workload(&flag(args, "--workload").ok_or("missing --workload")?, ops)
-        .ok_or("unknown workload")?;
-    spec.check_grid(&config.grid)?;
-    let kinds = names::parse_networks(&flag(args, "--network").ok_or("missing --network")?)
-        .ok_or("unknown network")?;
-    let audit = args.iter().any(|a| a == "--audit");
+    let name = flag(args, "--workload").ok_or("missing --workload")?;
+    let spec = workload_from_args(&name, args, &config)?;
+    let (_, kinds) = named_arg(args, "network", None, names::parse_networks)?;
+    let out = OutputOpts::parse(args, "--trace");
+    let exec = PointExecOptions {
+        audit: out.audit,
+        ..PointExecOptions::default()
+    };
+    let chip = FabricConfig::single(config);
     let model = NetworkEnergyModel::new(config.layout);
     let mut table = report::coherent_table();
-    let mut audit_log = AuditLog::new(audit);
+    let mut audit_log = AuditLog::new(out.audit);
     for kind in kinds {
-        let run = if audit {
-            let (run, report) = macrochip::experiment::run_coherent_audited(
-                kind,
-                &spec,
-                &config,
-                EngineConfig::default(),
-                0xCAFE,
-            );
-            audit_log.absorb(&format!("{} {}", kind.name(), spec.name()), Some(&report));
-            run
-        } else {
-            run_coherent(kind, &spec, &config, 0xCAFE)
+        let point = CampaignPoint::Coherent {
+            kind,
+            spec: spec.clone(),
+            seed: 0xCAFE,
+        };
+        let cell = campaign::run_point_full(&point, &chip, exec);
+        audit_log.absorb(
+            &format!("{} {}", kind.name(), spec.name()),
+            cell.audit.as_ref(),
+        );
+        let PointResult::Coherent(run) = cell.result else {
+            unreachable!("coherent point produced a non-coherent result");
         };
         report::coherent_row(&mut table, &model, &run);
     }
-    println!("Workload: {}\n\n{}", spec.name(), table.to_text());
-    audit_log.finish(false)
+    if !out.quiet {
+        println!("Workload: {}\n\n{}", spec.name(), table.to_text());
+    }
+    audit_log.finish(out.quiet)
 }
 
 fn cmd_mp(args: &[String]) -> Result<(), String> {
@@ -783,297 +952,62 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
 const DEFAULT_FAULT_SPEC: &str = "rand-links=2; transient=0.01; repair=10us";
 
 fn cmd_faults(args: &[String]) -> Result<(), String> {
-    let out = OutputOpts::parse(args);
+    let out = OutputOpts::parse(args, "--trace");
     let fabric = fabric_from_args(args)?;
-    let config = fabric.global_config();
-    let network_arg = flag(args, "--network").unwrap_or_else(|| "all".into());
-    let kinds = names::parse_networks(&network_arg).ok_or("unknown network")?;
-    let pattern_arg = flag(args, "--pattern").unwrap_or_else(|| "uniform".into());
-    let pattern = names::parse_pattern(&pattern_arg).ok_or("unknown pattern")?;
+    let (network_arg, kinds) = named_arg(args, "network", Some("all"), names::parse_networks)?;
+    let (pattern_arg, pattern) = named_arg(args, "pattern", Some("uniform"), names::parse_pattern)?;
     let load: f64 = flag(args, "--load")
         .map(|s| parse_load(&s))
         .transpose()?
         .unwrap_or(0.05);
     let spec = flag(args, "--faults").unwrap_or_else(|| DEFAULT_FAULT_SPEC.into());
     let plan = faults::FaultPlan::parse(&spec).map_err(|e| e.to_string())?;
-    let seed: u64 = flag(args, "--seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed"))
-        .transpose()?
-        .unwrap_or(0xC0FFEE);
-    let (sim, drain) = if args.iter().any(|a| a == "--duration-short") {
-        (Span::from_us(1), Span::from_us(5))
-    } else {
-        (Span::from_us(5), Span::from_us(20))
-    };
+    let options = run_options(args)?;
     let jobs = JobOpts::parse(args)?;
-    const MAX_STALLED: usize = 5_000;
-    let started = Instant::now();
-    let events_base = prof::counter(prof::Counter::SimEvents);
-    // One fault-campaign point per network; each worker builds its own
-    // resilient network, fault RNG and traffic source, so points shard
-    // cleanly and deterministically.
-    let points: Vec<CampaignPoint> = kinds
-        .iter()
-        .map(|&kind| CampaignPoint::Fault {
-            kind,
-            pattern,
-            load,
-            plan: plan.clone(),
-            seed,
-            sim,
-            drain,
-            max_stalled: MAX_STALLED,
-        })
-        .collect();
-    let exec = PointExecOptions {
-        trace: out.trace.is_some(),
-        metrics: out.metrics.is_some(),
-        audit: out.audit,
-        trace_capacity: TRACE_EVENTS_PER_POINT,
-    };
-    let cache = open_cache(jobs.no_cache, exec.trace || exec.metrics || exec.audit)?;
-    let cells = {
-        let _progress = ProgressReporter::start("faults", points.len(), out.progress);
-        run_indexed(&points, jobs.jobs, |_, point| {
-            campaign::run_cached(point, &fabric, cache.as_ref(), exec)
-        })
-    };
-
-    let mut table = report::fault_table();
-    let mut sections: Vec<(String, Vec<(Time, TraceEvent)>)> = Vec::new();
-    let mut runs: Vec<RunRecord> = Vec::new();
-    let mut audit_log = AuditLog::new(out.audit);
-    let mut cache_hits = 0usize;
-    for (point, cell) in points.iter().zip(cells) {
-        let kind = point.kind();
-        let cached = cell.cached;
-        cache_hits += usize::from(cached);
-        audit_log.absorb(&format!("{} faults", kind.name()), cell.audit.as_ref());
-        let PointResult::Fault(f) = cell.result else {
-            unreachable!("fault point produced a non-fault result");
-        };
-        report::fault_row(&mut table, kind, &f);
-        if out.trace.is_some() {
-            sections.push((format!("{} faults", kind.name()), cell.trace));
-        }
-        if out.metrics.is_some() {
-            runs.push(RunRecord {
-                network: kind.name().to_string(),
-                offered: load,
-                saturated: f.saturated,
-                snapshot: cell.metrics.expect("metrics were requested"),
-            });
-        }
-        if out.verbose {
-            eprintln!(
-                "[faults] {}: availability {:.4}, {} retries, {} dropped{}",
-                kind.name(),
-                f.availability,
-                f.retries,
-                f.lost,
-                if cached { " (cached)" } else { "" }
-            );
-        }
-    }
-    if let Some(path) = &out.trace {
-        write_trace(path, &sections)?;
-    }
-    if let Some(path) = &out.metrics {
-        let mut manifest = RunManifest::new("faults", &config);
-        manifest.network = network_arg;
-        manifest.pattern = pattern_arg;
-        manifest.fault_plan = plan.to_spec();
-        manifest.seed = seed;
-        manifest.set_limits(DriveLimits::for_window(sim, drain, MAX_STALLED));
-        manifest.jobs = campaign::resolve_jobs(jobs.jobs);
-        manifest.cache = cache_summary(cache.is_some(), cache_hits, points.len());
-        if let Some(c) = &cache {
-            manifest.cache_dir = c.dir().display().to_string();
-        }
-        manifest.set_host_stats(started.elapsed().as_secs_f64() * 1e3, events_base);
-        if out.host_metrics {
-            runs.push(host_record(manifest.wall_clock_ms));
-        }
-        write_metrics(path, &manifest, &runs)?;
-    }
-    if !out.quiet {
-        println!("Fault plan: {}\n\n{}", plan.to_spec(), table.to_text());
-    }
-    out.finish_profile();
-    audit_log.finish(out.quiet)
+    let points = fault_points(&kinds, pattern, load, &plan, options);
+    let run = run_campaign("faults", &points, &fabric, out.exec(), &jobs, &out)?;
+    let config = fabric.global_config();
+    let mut manifest = manifest_for("faults", &config, network_arg, pattern_arg, options);
+    manifest.fault_plan = plan.to_spec();
+    let text = format!("Fault plan: {}\n\n{}", plan.to_spec(), run.fault.to_text());
+    run.finish(&out, manifest, &text)
 }
 
 /// The whole open-loop evaluation in one campaign: every network's
 /// Figure 6 latency-load curve plus every network's fault campaign, as a
-/// single flat point list sharded across `--jobs` workers.
+/// single flat point list sharded across `--jobs` workers — the points of
+/// `sweep --network all` followed by those of `faults --network all`.
 fn cmd_run_all(args: &[String]) -> Result<(), String> {
-    let out = OutputOpts::parse(args);
+    let out = OutputOpts::parse(args, "--trace");
     let jobs = JobOpts::parse(args)?;
     let fabric = fabric_from_args(args)?;
-    let config = fabric.global_config();
-    let pattern_arg = flag(args, "--pattern").unwrap_or_else(|| "uniform".into());
-    let pattern = names::parse_pattern(&pattern_arg).ok_or("unknown pattern")?;
-    let seed: u64 = flag(args, "--seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed"))
-        .transpose()?
-        .unwrap_or(0xC0FFEE);
-    let (sim, drain) = if args.iter().any(|a| a == "--duration-short") {
-        (Span::from_us(1), Span::from_us(5))
-    } else {
-        (Span::from_us(5), Span::from_us(20))
-    };
-    const MAX_STALLED: usize = 5_000;
+    let (pattern_arg, pattern) = named_arg(args, "pattern", Some("uniform"), names::parse_pattern)?;
+    let options = run_options(args)?;
     const FAULT_LOAD: f64 = 0.05;
-    let options = SweepOptions {
-        sim,
-        drain,
-        max_stalled: MAX_STALLED,
-        seed,
-    };
     let plan = faults::FaultPlan::parse(DEFAULT_FAULT_SPEC).map_err(|e| e.to_string())?;
     let loads = macrochip::sweep::figure6_loads(pattern);
-    let started = Instant::now();
-    let events_base = prof::counter(prof::Counter::SimEvents);
-
-    let mut points: Vec<CampaignPoint> = Vec::new();
-    for &kind in NetworkKind::ALL.iter() {
-        for &offered in &loads {
-            points.push(CampaignPoint::Sweep {
-                kind,
-                pattern,
-                offered,
-                options,
-            });
-        }
-    }
+    let mut points = sweep_points(&NetworkKind::ALL, pattern, &loads, options);
     let sweep_count = points.len();
-    for &kind in NetworkKind::ALL.iter() {
-        points.push(CampaignPoint::Fault {
-            kind,
-            pattern,
-            load: FAULT_LOAD,
-            plan: plan.clone(),
-            seed,
-            sim,
-            drain,
-            max_stalled: MAX_STALLED,
-        });
-    }
-
-    let exec = PointExecOptions {
-        trace: out.trace.is_some(),
-        metrics: out.metrics.is_some(),
-        audit: out.audit,
-        trace_capacity: TRACE_EVENTS_PER_POINT,
-    };
-    let cache = open_cache(jobs.no_cache, exec.trace || exec.metrics || exec.audit)?;
-    let cells = {
-        let _progress = ProgressReporter::start("run-all", points.len(), out.progress);
-        run_indexed(&points, jobs.jobs, |_, point| {
-            campaign::run_cached(point, &fabric, cache.as_ref(), exec)
-        })
-    };
-
-    let mut sweep_table = report::sweep_table();
-    let mut fault_table = report::fault_table();
-    let mut sections: Vec<(String, Vec<(Time, TraceEvent)>)> = Vec::new();
-    let mut runs: Vec<RunRecord> = Vec::new();
-    let mut audit_log = AuditLog::new(out.audit);
-    let mut cache_hits = 0usize;
-    let mut saturated_points = 0usize;
-    for (point, cell) in points.iter().zip(cells) {
-        cache_hits += usize::from(cell.cached);
-        let audit_label = match point {
-            CampaignPoint::Sweep { kind, offered, .. } => {
-                format!("{} @ {}%", kind.name(), fmt(offered * 100.0, 1))
-            }
-            _ => format!("{} faults", point.kind().name()),
-        };
-        audit_log.absorb(&audit_label, cell.audit.as_ref());
-        match (point, cell.result) {
-            (&CampaignPoint::Sweep { kind, offered, .. }, PointResult::Sweep(p)) => {
-                saturated_points += usize::from(p.saturated);
-                report::sweep_row(&mut sweep_table, kind, &p);
-                if exec.trace {
-                    let label = format!(
-                        "{} @ {}% {}",
-                        kind.name(),
-                        fmt(offered * 100.0, 0),
-                        pattern_arg
-                    );
-                    sections.push((label, cell.trace));
-                }
-                if exec.metrics {
-                    runs.push(RunRecord {
-                        network: kind.name().to_string(),
-                        offered,
-                        saturated: p.saturated,
-                        snapshot: cell.metrics.expect("metrics were requested"),
-                    });
-                }
-            }
-            (&CampaignPoint::Fault { kind, load, .. }, PointResult::Fault(f)) => {
-                report::fault_row(&mut fault_table, kind, &f);
-                if exec.trace {
-                    sections.push((format!("{} faults", kind.name()), cell.trace));
-                }
-                if exec.metrics {
-                    runs.push(RunRecord {
-                        network: kind.name().to_string(),
-                        offered: load,
-                        saturated: f.saturated,
-                        snapshot: cell.metrics.expect("metrics were requested"),
-                    });
-                }
-            }
-            _ => unreachable!("campaign returned a mismatched result type"),
-        }
-    }
-    if let Some(path) = &out.trace {
-        write_trace(path, &sections)?;
-    }
-    if let Some(path) = &out.metrics {
-        let mut manifest = RunManifest::new("run-all", &config);
-        manifest.network = "all".into();
-        manifest.pattern = pattern_arg.clone();
-        manifest.fault_plan = plan.to_spec();
-        manifest.seed = seed;
-        manifest.set_limits(DriveLimits::for_window(sim, drain, MAX_STALLED));
-        manifest.jobs = campaign::resolve_jobs(jobs.jobs);
-        manifest.cache = cache_summary(cache.is_some(), cache_hits, points.len());
-        if let Some(c) = &cache {
-            manifest.cache_dir = c.dir().display().to_string();
-        }
-        manifest.outcome = format!("{saturated_points}/{sweep_count} sweep points saturated");
-        manifest.set_host_stats(started.elapsed().as_secs_f64() * 1e3, events_base);
-        if out.host_metrics {
-            runs.push(host_record(manifest.wall_clock_ms));
-        }
-        write_metrics(path, &manifest, &runs)?;
-    }
-    if !out.quiet {
-        println!(
-            "Figure 6 sweep ({} pattern)\n\n{}",
-            pattern_arg,
-            sweep_table.to_text()
-        );
-        println!(
-            "Fault campaign: {}\n\n{}",
-            plan.to_spec(),
-            fault_table.to_text()
-        );
-    }
-    if out.verbose {
-        eprintln!(
-            "[run-all] {} points, {} from cache, jobs={}, {:.2} s",
-            points.len(),
-            cache_hits,
-            campaign::resolve_jobs(jobs.jobs),
-            started.elapsed().as_secs_f64()
-        );
-    }
-    out.finish_profile();
-    audit_log.finish(out.quiet)
+    let fault = fault_points(&NetworkKind::ALL, pattern, FAULT_LOAD, &plan, options);
+    points.extend(fault);
+    let run = run_campaign("run-all", &points, &fabric, out.exec(), &jobs, &out)?;
+    let config = fabric.global_config();
+    let mut manifest = manifest_for(
+        "run-all",
+        &config,
+        "all".into(),
+        pattern_arg.clone(),
+        options,
+    );
+    manifest.fault_plan = plan.to_spec();
+    manifest.outcome = format!("{}/{sweep_count} sweep points saturated", run.saturated);
+    let text = format!(
+        "Figure 6 sweep ({pattern_arg} pattern)\n\n{}\nFault campaign: {}\n\n{}",
+        run.sweep.to_text(),
+        plan.to_spec(),
+        run.fault.to_text()
+    );
+    run.finish(&out, manifest, &text)
 }
 
 /// Writes the stats file used by the capture→replay byte-identity check:
@@ -1157,19 +1091,14 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         std::fs::create_dir_all(parent)
             .map_err(|e| format!("creating {}: {e}", parent.display()))?;
     }
-    let network_arg = flag(args, "--network").unwrap_or_else(|| "p2p".into());
-    let kinds = names::parse_networks(&network_arg).ok_or("unknown network")?;
+    let (network_arg, kinds) = named_arg(args, "network", Some("p2p"), names::parse_networks)?;
     let &[kind] = &kinds[..] else {
         return Err("capture records one run; pick a single --network".into());
     };
-    let seed: u64 = flag(args, "--seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed"))
-        .transpose()?
-        .unwrap_or(0xC0FFEE);
+    let options = run_options(args)?;
+    let seed = options.seed;
     let stats_path = flag(args, "--stats");
-    let quiet = args.iter().any(|a| a == "-q" || a == "--quiet");
-    let started = Instant::now();
-    let events_base = prof::counter(prof::Counter::SimEvents);
+    let out = OutputOpts::parse(args, "--trace");
     let grid_side = config.grid.side() as u16;
 
     let (header, live_stats, pattern_label, limits, outcome);
@@ -1181,12 +1110,7 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
                     .into(),
             );
         }
-        let ops: u32 = flag(args, "--ops")
-            .map(|s| s.parse().map_err(|_| "bad --ops"))
-            .transpose()?
-            .unwrap_or(40);
-        let spec = names::parse_workload(&name, ops).ok_or("unknown workload")?;
-        spec.check_grid(&config.grid)?;
+        let spec = workload_from_args(&name, args, &config)?;
         let meta = TraceMeta {
             grid_side,
             seed,
@@ -1215,17 +1139,6 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
             .map(|s| parse_load(&s))
             .transpose()?
             .unwrap_or(0.05);
-        let (sim, drain) = if args.iter().any(|a| a == "--duration-short") {
-            (Span::from_us(1), Span::from_us(5))
-        } else {
-            (Span::from_us(5), Span::from_us(20))
-        };
-        let options = SweepOptions {
-            sim,
-            drain,
-            max_stalled: 5_000,
-            seed,
-        };
         let meta = TraceMeta {
             grid_side,
             seed,
@@ -1253,7 +1166,11 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         reg.record_net_stats(net.stats());
         live_stats = Some(reg.snapshot());
         pattern_label = pattern_arg;
-        limits = Some(DriveLimits::for_window(sim, drain, options.max_stalled));
+        limits = Some(DriveLimits::for_window(
+            options.sim,
+            options.drain,
+            options.max_stalled,
+        ));
         outcome = format!(
             "captured {} packets{}",
             header.packets,
@@ -1270,7 +1187,7 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         manifest.set_limits(limits);
     }
     manifest.outcome = outcome.clone();
-    manifest.set_host_stats(started.elapsed().as_secs_f64() * 1e3, events_base);
+    manifest.set_host_stats(out.started.elapsed().as_secs_f64() * 1e3, out.events_base);
     let sidecar = replay::sidecar_path(trace_path);
     std::fs::write(&sidecar, manifest.to_json() + "\n")
         .map_err(|e| format!("writing {}: {e}", sidecar.display()))?;
@@ -1285,7 +1202,7 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         let snap = live_stats.expect("open-loop capture has live stats");
         write_stats(path, &[(kind.name().to_string(), snap)])?;
     }
-    if !quiet {
+    if !out.quiet {
         println!(
             "{out_path}: {} packets, {} us, hash {:016x}\n{}\nsidecar {}\nindex {}",
             header.packets,
@@ -1314,32 +1231,15 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             config.grid.side()
         ));
     }
-    let network_arg = flag(args, "--network").unwrap_or_else(|| "all".into());
-    let kinds = names::parse_networks(&network_arg).ok_or("unknown network")?;
+    let (network_arg, kinds) = named_arg(args, "network", Some("all"), names::parse_networks)?;
     let plan = flag(args, "--faults")
         .map(|s| faults::FaultPlan::parse(&s).map_err(|e| e.to_string()))
         .transpose()?;
-    let seed: u64 = flag(args, "--seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed"))
-        .transpose()?
-        .unwrap_or(0xC0FFEE);
-    let drain = if args.iter().any(|a| a == "--duration-short") {
-        Span::from_us(5)
-    } else {
-        Span::from_us(20)
-    };
-    const MAX_STALLED: usize = 5_000;
+    let options = run_options(args)?;
     let jobs = JobOpts::parse(args)?;
-    let trace_out = flag(args, "--trace-out");
-    let metrics_path = flag(args, "--metrics");
+    // `--trace` is this command's input; its recording is `--trace-out`.
+    let out = OutputOpts::parse(args, "--trace-out");
     let stats_path = flag(args, "--stats");
-    let audit = args.iter().any(|a| a == "--audit");
-    let quiet = args.iter().any(|a| a == "-q" || a == "--quiet");
-    let verbose = args.iter().any(|a| a == "-v" || a == "--verbose");
-    let progress = args.iter().any(|a| a == "--progress");
-    let host_metrics = args.iter().any(|a| a == "--host-metrics");
-    let started = Instant::now();
-    let events_base = prof::counter(prof::Counter::SimEvents);
 
     // One replay point per network — identical traffic, sharded like any
     // other campaign. The cache key covers the trace's content hash, not
@@ -1351,119 +1251,47 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             trace: trace_arg.clone(),
             content_hash: header.content_hash,
             plan: plan.clone(),
-            seed,
-            drain,
-            max_stalled: MAX_STALLED,
+            seed: options.seed,
+            drain: options.drain,
+            max_stalled: options.max_stalled,
         })
         .collect();
-    let exec = PointExecOptions {
-        trace: trace_out.is_some(),
-        metrics: metrics_path.is_some() || stats_path.is_some(),
-        audit,
-        trace_capacity: TRACE_EVENTS_PER_POINT,
-    };
-    let cache = open_cache(jobs.no_cache, exec.trace || exec.metrics || exec.audit)?;
-    let cells = {
-        let _progress = ProgressReporter::start("replay", points.len(), progress);
-        // Replay is single-chip (`reject_chips` above): it runs on the
-        // one-chip board, whose cache keys are the bare chip's.
-        let single = FabricConfig::single(config);
-        run_indexed(&points, jobs.jobs, |_, point| {
-            campaign::run_cached(point, &single, cache.as_ref(), exec)
-        })
-    };
-
-    let mut table = report::replay_table();
-    let mut sections: Vec<(String, Vec<(Time, TraceEvent)>)> = Vec::new();
-    let mut runs: Vec<RunRecord> = Vec::new();
-    let mut stats_runs: Vec<(String, MetricsSnapshot)> = Vec::new();
-    let mut audit_log = AuditLog::new(audit);
-    let mut cache_hits = 0usize;
-    for (point, cell) in points.iter().zip(cells) {
-        let kind = point.kind();
-        cache_hits += usize::from(cell.cached);
-        audit_log.absorb(&format!("{} replay", kind.name()), cell.audit.as_ref());
-        let PointResult::Replay(r) = cell.result else {
-            unreachable!("replay point produced a non-replay result");
-        };
-        if r.poisoned {
-            return Err(format!(
-                "replaying {trace_arg} on {}: trace failed mid-replay after validation",
-                kind.name()
-            ));
-        }
-        report::replay_row(&mut table, kind, &r);
-        if exec.trace {
-            sections.push((format!("{} replay", kind.name()), cell.trace));
-        }
-        if let Some(snap) = cell.metrics {
-            if stats_path.is_some() {
-                stats_runs.push((kind.name().to_string(), without_family(&snap, "replay.")));
-            }
-            if metrics_path.is_some() {
-                runs.push(RunRecord {
-                    network: kind.name().to_string(),
-                    offered: f64::NAN,
-                    saturated: r.saturated,
-                    snapshot: snap,
-                });
-            }
-        }
-        if verbose {
-            eprintln!(
-                "[replay] {}: {}/{} delivered, mean {:.2} ns{}",
-                kind.name(),
-                r.delivered,
-                r.trace_packets,
-                r.mean_latency_ns,
-                if cell.cached { " (cached)" } else { "" }
-            );
-        }
-    }
-    if let Some(path) = &trace_out {
-        write_trace(path, &sections)?;
-    }
-    if let Some(path) = &metrics_path {
-        let mut manifest = RunManifest::new("replay", &config);
-        manifest.network = network_arg;
-        manifest.pattern = trace_arg.clone();
-        if let Some(plan) = &plan {
-            manifest.fault_plan = plan.to_spec();
-        }
-        manifest.seed = seed;
-        manifest.set_limits(DriveLimits {
-            deadline: header.last_time() + drain,
-            max_stalled: MAX_STALLED,
-        });
-        manifest.jobs = campaign::resolve_jobs(jobs.jobs);
-        manifest.cache = cache_summary(cache.is_some(), cache_hits, points.len());
-        if let Some(c) = &cache {
-            manifest.cache_dir = c.dir().display().to_string();
-        }
-        manifest.outcome = format!(
-            "replayed {} packets on {} networks",
-            header.packets,
-            points.len()
-        );
-        manifest.set_host_stats(started.elapsed().as_secs_f64() * 1e3, events_base);
-        if host_metrics {
-            runs.push(host_record(manifest.wall_clock_ms));
-        }
-        write_metrics(path, &manifest, &runs)?;
-    }
+    // --stats needs each point's metrics snapshot even without --metrics.
+    let mut exec = out.exec();
+    exec.metrics |= stats_path.is_some();
+    // Replay is single-chip (`reject_chips` above): it runs on the
+    // one-chip board, whose cache keys are the bare chip's.
+    let single = FabricConfig::single(config);
+    let run = run_campaign("replay", &points, &single, exec, &jobs, &out)?;
     if let Some(path) = &stats_path {
-        write_stats(path, &stats_runs)?;
+        let stats: Vec<(String, MetricsSnapshot)> = run
+            .runs
+            .iter()
+            .map(|r| (r.network.clone(), without_family(&r.snapshot, "replay.")))
+            .collect();
+        write_stats(path, &stats)?;
     }
-    if !quiet {
-        println!(
-            "Trace {trace_arg}: {} packets, {} us, hash {:016x}\n\n{}",
-            header.packets,
-            fmt(header.last_ps as f64 / 1e6, 2),
-            header.content_hash,
-            table.to_text()
-        );
+    let mut manifest = manifest_for("replay", &config, network_arg, trace_arg.clone(), options);
+    if let Some(plan) = &plan {
+        manifest.fault_plan = plan.to_spec();
     }
-    audit_log.finish(quiet)
+    manifest.set_limits(DriveLimits {
+        deadline: header.last_time() + options.drain,
+        max_stalled: options.max_stalled,
+    });
+    manifest.outcome = format!(
+        "replayed {} packets on {} networks",
+        header.packets,
+        points.len()
+    );
+    let text = format!(
+        "Trace {trace_arg}: {} packets, {} us, hash {:016x}\n\n{}",
+        header.packets,
+        fmt(header.last_ps as f64 / 1e6, 2),
+        header.content_hash,
+        run.replay.to_text()
+    );
+    run.finish(&out, manifest, &text)
 }
 
 fn cmd_trace_info(args: &[String]) -> Result<(), String> {
@@ -1704,6 +1532,12 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // The span profiler covers whichever command runs: on before the
+    // dispatch, its table on stderr once the command has returned.
+    let profile = switch(&args, "--profile");
+    if profile {
+        prof::set_enabled(true);
+    }
     let result = match args.first().map(String::as_str) {
         Some("tables") => cmd_tables(&args),
         Some("sweep") => cmd_sweep(&args),
@@ -1726,6 +1560,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if profile {
+        eprint!("{}", prof::report().table());
+    }
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -1738,11 +1575,93 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{cmd_capture, cmd_coherent, parse_age, parse_load};
+    use super::{
+        cmd_capture, cmd_coherent, cmd_faults, cmd_replay, cmd_run_all, cmd_sweep, parse_age,
+        parse_load,
+    };
+    use std::path::{Path, PathBuf};
     use std::time::Duration;
 
     fn args(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
+    }
+
+    /// A fresh scratch directory for one test's output files.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("macrochip-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("creating a scratch directory");
+        dir
+    }
+
+    /// The records of a `--metrics` JSON file's `runs` array, in order.
+    fn metrics_runs(path: &Path) -> Vec<String> {
+        let body = std::fs::read_to_string(path).expect("metrics file written");
+        let (_, runs) = body.split_once("\n\"runs\": [").expect("a runs array");
+        let runs = runs
+            .strip_suffix("\n]\n}\n")
+            .expect("the runs array closes the file");
+        runs.split("\n{\n\"network\": ")
+            .skip(1)
+            .map(|record| record.trim_end_matches(',').to_string())
+            .collect()
+    }
+
+    #[test]
+    fn run_all_is_the_sweep_and_fault_campaigns() {
+        let dir = scratch_dir("run-all");
+        let metrics = |name: &str| dir.join(name).display().to_string();
+        let common = "--side 2 --no-cache -q --metrics";
+        cmd_run_all(&args(&format!("run-all {common} {}", metrics("r.json")))).unwrap();
+        cmd_sweep(&args(&format!(
+            "sweep --network all --pattern uniform {common} {}",
+            metrics("s.json")
+        )))
+        .unwrap();
+        cmd_faults(&args(&format!(
+            "faults --network all {common} {}",
+            metrics("f.json")
+        )))
+        .unwrap();
+        let sweep = metrics_runs(&dir.join("s.json"));
+        let faults = metrics_runs(&dir.join("f.json"));
+        assert!(!sweep.is_empty() && !faults.is_empty());
+        let joined: Vec<String> = sweep.into_iter().chain(faults).collect();
+        assert_eq!(metrics_runs(&dir.join("r.json")), joined);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_writes_trace_out_and_leaves_its_input_alone() {
+        let dir = scratch_dir("replay-out");
+        let path = |name: &str| dir.join(name).display().to_string();
+        cmd_capture(&args(&format!(
+            "capture --out {} --side 2 --network p2p --pattern uniform --duration-short \
+             --stats {} -q",
+            path("u.mtrc"),
+            path("live.json")
+        )))
+        .unwrap();
+        let captured = std::fs::read(dir.join("u.mtrc")).unwrap();
+        cmd_replay(&args(&format!(
+            "replay --trace {} --side 2 --network p2p --trace-out {} --metrics {} \
+             --stats {} -q --no-cache",
+            path("u.mtrc"),
+            path("t.json"),
+            path("m.json"),
+            path("r.json")
+        )))
+        .unwrap();
+        assert_eq!(std::fs::read(dir.join("u.mtrc")).unwrap(), captured);
+        let trace = std::fs::read_to_string(dir.join("t.json")).unwrap();
+        let trace = trace.trim();
+        assert!(trace.starts_with('[') && trace.ends_with(']'), "{trace}");
+        assert!(trace.contains("\"ph\""), "the recording holds events");
+        assert_eq!(
+            std::fs::read_to_string(dir.join("r.json")).unwrap(),
+            std::fs::read_to_string(dir.join("live.json")).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
