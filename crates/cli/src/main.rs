@@ -351,9 +351,7 @@ fn run_campaign(
     let cache = open_cache(jobs.no_cache, exec.trace || exec.metrics || exec.audit)?;
     let cells = {
         let _progress = ProgressReporter::start(cmd, points.len(), out.progress);
-        run_indexed(points, jobs.jobs, |_, point| {
-            campaign::run_cached(point, fabric, cache.as_ref(), exec)
-        })
+        campaign::run_cached(points, fabric, cache.as_ref(), jobs.jobs, exec)
     };
     let mut run = CampaignRun {
         sweep: report::sweep_table(),
@@ -661,6 +659,15 @@ fn reject_chips(args: &[String], cmd: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Refuses the first of `flags` given to `cmd`, which does not honour
+/// them, rather than run and write nothing for it.
+fn reject_unsupported(args: &[String], cmd: &str, flags: &[&str]) -> Result<(), String> {
+    match flags.iter().find(|f| switch(args, f)) {
+        Some(f) => Err(format!("`{cmd}` does not take {f}")),
+        None => Ok(()),
+    }
+}
+
 fn cmd_tables(args: &[String]) -> Result<(), String> {
     use photonics::inventory::ComponentCounts;
     use photonics::power::NetworkPower;
@@ -799,6 +806,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 
 fn cmd_sustained(args: &[String]) -> Result<(), String> {
     reject_chips(args, "sustained")?;
+    reject_unsupported(args, "sustained", &["--audit"])?;
     let out = OutputOpts::parse(args, "--trace");
     let config = config_from_args(args)?;
     let (network_arg, kinds) = named_arg(args, "network", None, names::parse_networks)?;
@@ -875,6 +883,7 @@ fn cmd_sustained(args: &[String]) -> Result<(), String> {
 /// the campaign executor, audited under `--audit`.
 fn cmd_coherent(args: &[String]) -> Result<(), String> {
     reject_chips(args, "coherent")?;
+    reject_unsupported(args, "coherent", &["--metrics", "--trace"])?;
     let config = config_from_args(args)?;
     let name = flag(args, "--workload").ok_or("missing --workload")?;
     let spec = workload_from_args(&name, args, &config)?;
@@ -1576,8 +1585,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::{
-        cmd_capture, cmd_coherent, cmd_faults, cmd_replay, cmd_run_all, cmd_sweep, parse_age,
-        parse_load,
+        cmd_capture, cmd_coherent, cmd_faults, cmd_replay, cmd_run_all, cmd_sustained, cmd_sweep,
+        parse_age, parse_load,
     };
     use std::path::{Path, PathBuf};
     use std::time::Duration;
@@ -1671,6 +1680,38 @@ mod tests {
         ))
         .expect_err("a 256-site grid overflows the directory's sharer bits");
         assert!(err.contains("at most 64 sites"), "{err}");
+    }
+
+    #[test]
+    fn flags_a_command_would_ignore_are_refused_before_it_runs() {
+        let dir = scratch_dir("ignored-flags");
+        let file = |name: &str| dir.join(name).display().to_string();
+        type Cmd = fn(&[String]) -> Result<(), String>;
+        let coherent = "coherent --workload Swaptions --network p2p -q";
+        for (cmd, line, flag) in [
+            (
+                cmd_coherent as Cmd,
+                format!("{coherent} --metrics {}", file("coh.json")),
+                "--metrics",
+            ),
+            (
+                cmd_coherent,
+                format!("{coherent} --trace {}", file("coh.trace")),
+                "--trace",
+            ),
+            (
+                cmd_sustained,
+                "sustained --network p2p --pattern uniform --audit -q".to_string(),
+                "--audit",
+            ),
+        ] {
+            let err = cmd(&args(&line)).expect_err(&line);
+            assert_eq!(err.lines().count(), 1, "{err}");
+            assert!(err.contains(flag), "{line}: {err}");
+        }
+        let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(written.is_empty(), "a refused command writes nothing");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

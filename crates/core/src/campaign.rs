@@ -40,6 +40,7 @@ use netcore::{
     FabricConfig, MacrochipConfig, MetricsRegistry, MetricsSnapshot, Network, NetworkKind,
 };
 use std::cell::RefCell;
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -49,6 +50,10 @@ use workloads::{OpenLoopTraffic, Pattern};
 /// Bumped whenever the cache key derivation or value encoding changes, so
 /// stale `results/cache/` entries from older binaries are never misread.
 const CACHE_FORMAT: u32 = 1;
+
+/// The first line of every cache value: `macrochip-campaign-cache
+/// v{CACHE_FORMAT}`.
+const CACHE_HEADER: &str = "macrochip-campaign-cache v1";
 
 /// The number of workers to use when the caller asks for "auto" (`0`):
 /// one per available hardware thread.
@@ -267,7 +272,7 @@ impl PointResult {
     /// cache hit reproduces the original computation **bit-for-bit** — the
     /// property tests round-trip on exact bytes.
     pub fn to_cache_bytes(&self) -> String {
-        let mut s = format!("macrochip-campaign-cache v{CACHE_FORMAT}\n{}\n", self.tag());
+        let mut s = format!("{CACHE_HEADER}\n{}\n", self.tag());
         let f64_field = |out: &mut String, name: &str, v: f64| {
             out.push_str(name);
             out.push(' ');
@@ -340,25 +345,36 @@ impl PointResult {
 
     /// Parses a cache value back. Returns `None` for anything malformed
     /// or written by a different cache format.
+    ///
+    /// Every line after the tag must be a `name value` pair; a repeated
+    /// field resolves to its last value, and a field no tag reads is
+    /// skipped. An entry has about ten lines, so a backwards scan of them
+    /// finds a field faster than a map could be built.
     pub fn from_cache_bytes(bytes: &str) -> Option<PointResult> {
         let mut lines = bytes.lines();
-        if lines.next()? != format!("macrochip-campaign-cache v{CACHE_FORMAT}") {
+        if lines.next()? != CACHE_HEADER {
             return None;
         }
         let tag = lines.next()?;
-        let mut fields = std::collections::BTreeMap::new();
+        let mut fields = Vec::with_capacity(16);
         for line in lines {
-            let (k, v) = line.split_once(' ')?;
-            fields.insert(k, v);
+            fields.push(line.split_once(' ')?);
         }
+        let field = |name: &str| -> Option<&str> {
+            fields
+                .iter()
+                .rev()
+                .find(|&&(k, _)| k == name)
+                .map(|&(_, v)| v)
+        };
         let f64_field = |name: &str| -> Option<f64> {
-            u64::from_str_radix(fields.get(name)?, 16)
+            u64::from_str_radix(field(name)?, 16)
                 .ok()
                 .map(f64::from_bits)
         };
-        let u64_field = |name: &str| -> Option<u64> { fields.get(name)?.parse().ok() };
+        let u64_field = |name: &str| -> Option<u64> { field(name)?.parse().ok() };
         let bool_field = |name: &str| -> Option<bool> {
-            match *fields.get(name)? {
+            match field(name)? {
                 "1" => Some(true),
                 "0" => Some(false),
                 _ => None,
@@ -383,12 +399,12 @@ impl PointResult {
                 saturated: bool_field("saturated")?,
             })),
             "coherent" => {
-                let network_name = *fields.get("network")?;
+                let network_name = field("network")?;
                 Some(PointResult::Coherent(CoherentRun {
                     network: NetworkKind::ALL
                         .into_iter()
                         .find(|k| k.name() == network_name)?,
-                    workload: fields.get("workload")?.to_string(),
+                    workload: field("workload")?.to_string(),
                     makespan: Span::from_ps(u64_field("makespan_ps")?),
                     mean_op_latency: Span::from_ps(u64_field("mean_op_latency_ps")?),
                     ops_completed: u64_field("ops_completed")?,
@@ -412,95 +428,149 @@ impl PointResult {
                 // always a clean replay.
                 poisoned: false,
                 trace_last_ps: u64_field("trace_last_ps")?,
-                content_hash: u64::from_str_radix(fields.get("content_hash")?, 16).ok()?,
+                content_hash: u64::from_str_radix(field("content_hash")?, 16).ok()?,
             })),
             _ => None,
         }
     }
 }
 
-/// 64-bit FNV-1a over `bytes`, the cache's content hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A running 64-bit FNV-1a hash, the cache's content hash. It is a
+/// [`fmt::Write`] sink, so key material is hashed as it is formatted,
+/// and a state can be saved after a shared prefix and resumed per point.
+#[derive(Debug, Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET: Fnv1a = Fnv1a(0xcbf2_9ce4_8422_2325);
+
+    /// The state after hashing `args` on top of this one.
+    fn with(mut self, args: fmt::Arguments<'_>) -> Fnv1a {
+        fmt::Write::write_fmt(&mut self, args).expect("hashing never fails");
+        self
     }
-    h
 }
 
-/// Content hash of a campaign point under `config`: every input that can
-/// change the simulation result feeds the key — point kind, pattern, load
-/// bits, seed, windows, fault plan, the full platform configuration, the
-/// crate version and the cache format.
-pub fn point_key(point: &CampaignPoint, config: &MacrochipConfig) -> u64 {
-    let mut material = format!(
-        "fmt{CACHE_FORMAT}|{}|cfg{:?}|",
-        env!("CARGO_PKG_VERSION"),
-        config
-    );
-    match point {
-        CampaignPoint::Sweep {
-            kind,
-            pattern,
-            offered,
-            options,
-        } => {
-            material.push_str(&format!(
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Cache keys of one platform, hashed once per campaign.
+///
+/// A point's key material is `fmt{CACHE_FORMAT}|{version}|cfg{config:?}|`
+/// followed by the point's own part; a multi-chip board then hashes
+/// `fabric{M}|link{link:?}|chip{chip key:016x}`. FNV-1a reads bytes in
+/// order, so the keyer keeps the hash state after each platform prefix and
+/// streams only the per-point bytes: every key equals the hash of the
+/// whole material string, without building it.
+#[derive(Debug, Clone, Copy)]
+pub struct PointKeyer {
+    /// The state after the chip prefix.
+    chip: Fnv1a,
+    /// The state after the board prefix, for a multi-chip fabric.
+    board: Option<Fnv1a>,
+}
+
+impl PointKeyer {
+    /// The keyer of points run on `fabric`.
+    pub fn new(fabric: &FabricConfig) -> PointKeyer {
+        let chip = Fnv1a::OFFSET.with(format_args!(
+            "fmt{CACHE_FORMAT}|{}|cfg{:?}|",
+            env!("CARGO_PKG_VERSION"),
+            fabric.chip
+        ));
+        let board = (!fabric.is_single()).then(|| {
+            Fnv1a::OFFSET.with(format_args!(
+                "fabric{}|link{:?}|chip",
+                fabric.chips_per_side, fabric.link
+            ))
+        });
+        PointKeyer { chip, board }
+    }
+
+    /// The content hash of `point`: every input that can change the
+    /// simulation result feeds it — point kind, pattern, load bits, seed,
+    /// windows, fault plan, the full platform configuration, the crate
+    /// version and the cache format.
+    pub fn key(&self, point: &CampaignPoint) -> u64 {
+        let h = self.chip;
+        let chip = match point {
+            CampaignPoint::Sweep {
+                kind,
+                pattern,
+                offered,
+                options,
+            } => h.with(format_args!(
                 "sweep|{:?}|{:?}|load{:016x}|{:?}",
                 kind,
                 pattern,
                 offered.to_bits(),
                 options
-            ));
-        }
-        CampaignPoint::Fault {
-            kind,
-            pattern,
-            load,
-            plan,
-            seed,
-            sim,
-            drain,
-            max_stalled,
-        } => {
-            material.push_str(&format!(
+            )),
+            CampaignPoint::Fault {
+                kind,
+                pattern,
+                load,
+                plan,
+                seed,
+                sim,
+                drain,
+                max_stalled,
+            } => h.with(format_args!(
                 "fault|{:?}|{:?}|load{:016x}|plan{}|seed{}|sim{}|drain{}|stall{}",
                 kind,
                 pattern,
                 load.to_bits(),
-                plan.to_spec(),
+                plan,
                 seed,
                 sim.as_ps(),
                 drain.as_ps(),
                 max_stalled
-            ));
-        }
-        CampaignPoint::Coherent { kind, spec, seed } => {
-            material.push_str(&format!("coherent|{:?}|{:?}|seed{}", kind, spec, seed));
-        }
-        CampaignPoint::Replay {
-            kind,
-            trace: _, // the content hash identifies the trace, not its path
-            content_hash,
-            plan,
-            seed,
-            drain,
-            max_stalled,
-        } => {
-            material.push_str(&format!(
-                "replay|{:?}|hash{:016x}|plan{}|seed{}|drain{}|stall{}",
+            )),
+            CampaignPoint::Coherent { kind, spec, seed } => {
+                h.with(format_args!("coherent|{:?}|{:?}|seed{}", kind, spec, seed))
+            }
+            CampaignPoint::Replay {
                 kind,
+                trace: _, // the content hash identifies the trace, not its path
                 content_hash,
-                plan.as_ref()
-                    .map_or_else(|| "none".to_string(), |p| p.to_spec()),
+                plan,
                 seed,
-                drain.as_ps(),
-                max_stalled
-            ));
+                drain,
+                max_stalled,
+            } => {
+                let plan: &dyn fmt::Display = match plan {
+                    Some(plan) => plan,
+                    None => &"none",
+                };
+                h.with(format_args!(
+                    "replay|{:?}|hash{:016x}|plan{}|seed{}|drain{}|stall{}",
+                    kind,
+                    content_hash,
+                    plan,
+                    seed,
+                    drain.as_ps(),
+                    max_stalled
+                ))
+            }
+        };
+        match self.board {
+            None => chip.0,
+            Some(board) => board.with(format_args!("{:016x}", chip.0)).0,
         }
     }
-    fnv1a64(material.as_bytes())
+}
+
+/// Content hash of a campaign point under `config`: [`PointKeyer::key`]
+/// on the one-chip board of `config`.
+pub fn point_key(point: &CampaignPoint, config: &MacrochipConfig) -> u64 {
+    PointKeyer::new(&FabricConfig::single(*config)).key(point)
 }
 
 /// Content hash of a campaign point over a multi-chip `fabric`.
@@ -511,15 +581,7 @@ pub fn point_key(point: &CampaignPoint, config: &MacrochipConfig) -> u64 {
 /// parameters into the key on top of the per-chip key, so a `2x2` sweep
 /// never collides with a single-chip sweep of the same point.
 pub fn fabric_point_key(point: &CampaignPoint, fabric: &FabricConfig) -> u64 {
-    let chip_key = point_key(point, &fabric.chip);
-    if fabric.is_single() {
-        return chip_key;
-    }
-    let material = format!(
-        "fabric{}|link{:?}|chip{:016x}",
-        fabric.chips_per_side, fabric.link, chip_key
-    );
-    fnv1a64(material.as_bytes())
+    PointKeyer::new(fabric).key(point)
 }
 
 /// Side-channel outputs a point execution can capture alongside its
@@ -805,46 +867,54 @@ pub fn run_point_full(
     }
 }
 
-/// Executes one campaign point through the result cache: the one cache
-/// executor behind [`Campaign::run`] and every CLI campaign.
+/// Executes campaign points through the result cache on `jobs` workers,
+/// returning their runs in input order: the one cache executor behind
+/// [`Campaign::run`] and every CLI campaign.
 ///
-/// The cache is keyed by [`fabric_point_key`]. A hit whose stored type
-/// matches the point's skips the simulation and carries no side channels;
-/// a hit of another type (a key collision) is ignored and recomputed. A
-/// miss runs [`run_point_full`] and stores the result only if it is
-/// [`PointResult::cacheable`]; a failed store (read-only results dir, disk
-/// full) only costs future recomputation. Either way the point counts once
-/// in the `PointsDone` host counter.
+/// The cache is keyed by one [`PointKeyer`] of `fabric`, so the platform
+/// part of the key is hashed once per campaign. Each worker looks its
+/// point up: a hit whose stored type matches the point's skips the
+/// simulation and carries no side channels, and a hit of another type (a
+/// key collision) counts as a miss. A miss runs [`run_point_full`] and
+/// stores its result if it is [`PointResult::cacheable`]; a failed store
+/// (read-only results dir, disk full) only costs future recomputation.
+/// Without a cache every point runs. Each point counts once in the
+/// `PointsDone` host counter.
 pub fn run_cached(
-    point: &CampaignPoint,
+    points: &[CampaignPoint],
     fabric: &FabricConfig,
     cache: Option<&ResultCache>,
+    jobs: usize,
     exec: PointExecOptions,
-) -> PointRun {
-    let key = fabric_point_key(point, fabric);
-    let hit = cache
-        .and_then(|c| c.load(key))
-        .filter(|hit| hit.tag() == point.tag());
-    let run = match hit {
-        Some(result) => PointRun {
-            result,
-            cached: true,
-            trace: Vec::new(),
-            metrics: None,
-            audit: None,
-        },
-        None => {
-            let run = run_point_full(point, fabric, exec);
-            if let Some(cache) = cache {
-                if run.result.cacheable() {
-                    let _ = cache.store(key, &run.result);
+) -> Vec<PointRun> {
+    let keyer = PointKeyer::new(fabric);
+    run_indexed(points, jobs, |_, point| {
+        let run = match cache {
+            None => run_point_full(point, fabric, exec),
+            Some(cache) => {
+                let key = keyer.key(point);
+                let hit = cache.load(key).filter(|hit| hit.tag() == point.tag());
+                match hit {
+                    Some(result) => PointRun {
+                        result,
+                        cached: true,
+                        trace: Vec::new(),
+                        metrics: None,
+                        audit: None,
+                    },
+                    None => {
+                        let run = run_point_full(point, fabric, exec);
+                        if run.result.cacheable() {
+                            let _ = cache.store(key, &run.result);
+                        }
+                        run
+                    }
                 }
             }
-            run
-        }
-    };
-    desim::prof::add(desim::prof::Counter::PointsDone, 1);
-    run
+        };
+        desim::prof::add(desim::prof::Counter::PointsDone, 1);
+        run
+    })
 }
 
 /// Monotonic suffix for cache temp files, so concurrent workers (and
@@ -1037,23 +1107,24 @@ impl Campaign {
     /// Executes every point, sharded across [`Campaign::jobs`] workers,
     /// returning outcomes in input order (byte-identical to `jobs = 1`).
     ///
-    /// Each worker runs its point through [`run_cached`] on the one-chip
-    /// board of [`Campaign::config`]: a hit skips the simulation entirely,
-    /// a miss simulates and persists the result.
+    /// The points run through [`run_cached`] on the one-chip board of
+    /// [`Campaign::config`]: a hit skips the simulation entirely, a miss
+    /// simulates and persists the result.
     pub fn run(&self, points: &[CampaignPoint]) -> Vec<CampaignOutcome> {
         let fabric = FabricConfig::single(self.config);
-        run_indexed(points, self.jobs, |_, point| {
-            let run = run_cached(
-                point,
-                &fabric,
-                self.cache.as_ref(),
-                PointExecOptions::default(),
-            );
-            CampaignOutcome {
-                result: run.result,
-                cached: run.cached,
-            }
+        run_cached(
+            points,
+            &fabric,
+            self.cache.as_ref(),
+            self.jobs,
+            PointExecOptions::default(),
+        )
+        .into_iter()
+        .map(|run| CampaignOutcome {
+            result: run.result,
+            cached: run.cached,
         })
+        .collect()
     }
 }
 
@@ -1104,6 +1175,14 @@ mod tests {
         let back = PointResult::from_cache_bytes(&bytes).expect("parses");
         assert_eq!(back, p);
         assert_eq!(back.to_cache_bytes(), bytes);
+    }
+
+    #[test]
+    fn cache_header_names_the_cache_format() {
+        assert_eq!(
+            CACHE_HEADER,
+            format!("macrochip-campaign-cache v{CACHE_FORMAT}")
+        );
     }
 
     #[test]

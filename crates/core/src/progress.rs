@@ -13,15 +13,16 @@
 //! or perturbs the simulation itself. Determinism is untouched: the
 //! reporter only *reads* atomics that the drivers publish regardless.
 //!
-//! The reporter stops (and prints a final line) when dropped, so callers
-//! wrap the campaign in its scope:
+//! The reporter stops when dropped, with a closing line unless the last
+//! tick already showed the final counts, so callers wrap the campaign in
+//! its scope:
 //!
 //! ```
 //! use macrochip::progress::ProgressReporter;
 //! {
 //!     let _progress = ProgressReporter::start("sweep", 60, false);
 //!     // ... run the campaign ...
-//! } // final line printed here
+//! } // closing line printed here
 //! ```
 
 use desim::prof::{self, Counter};
@@ -51,28 +52,28 @@ impl ProgressReporter {
         }
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
-        let label = label.to_string();
+        let mut lines = Lines {
+            label: label.to_string(),
+            total,
+            last: None,
+        };
         let base_points = prof::counter(Counter::PointsDone);
         let base_events = prof::counter(Counter::SimEvents);
         let handle = std::thread::spawn(move || {
             let started = Instant::now();
-            let mut last_line_points = u64::MAX;
-            let mut last_line_events = u64::MAX;
-            while !thread_stop.load(Ordering::Relaxed) {
-                std::thread::park_timeout(TICK);
+            let mut tick = || {
                 let done = prof::counter(Counter::PointsDone).saturating_sub(base_points);
                 let events = prof::counter(Counter::SimEvents).saturating_sub(base_events);
-                // Don't repeat identical lines while a slow point runs.
-                if done == last_line_points && events == last_line_events {
-                    continue;
+                if let Some(line) = lines.next(done, events, started.elapsed()) {
+                    eprintln!("{line}");
                 }
-                last_line_points = done;
-                last_line_events = events;
-                eprintln!("{}", render(&label, done, total, events, started.elapsed()));
+            };
+            while !thread_stop.load(Ordering::Relaxed) {
+                std::thread::park_timeout(TICK);
+                tick();
             }
-            let done = prof::counter(Counter::PointsDone).saturating_sub(base_points);
-            let events = prof::counter(Counter::SimEvents).saturating_sub(base_events);
-            eprintln!("{}", render(&label, done, total, events, started.elapsed()));
+            // The closing line, unless the last tick already showed it.
+            tick();
         });
         ProgressReporter {
             stop,
@@ -88,6 +89,28 @@ impl Drop for ProgressReporter {
             handle.thread().unpark();
             let _ = handle.join();
         }
+    }
+}
+
+/// The status lines of one campaign: a line is printed only when the
+/// point or event count moved since the last one, so neither a slow point
+/// nor the closing line repeats what is already on screen.
+struct Lines {
+    label: String,
+    total: usize,
+    /// `(points, events)` of the last printed line.
+    last: Option<(u64, u64)>,
+}
+
+impl Lines {
+    /// The line for `done` points and `events` events after `elapsed`,
+    /// or `None` if the last printed line showed the same counts.
+    fn next(&mut self, done: u64, events: u64, elapsed: Duration) -> Option<String> {
+        if self.last == Some((done, events)) {
+            return None;
+        }
+        self.last = Some((done, events));
+        Some(render(&self.label, done, self.total, events, elapsed))
     }
 }
 
@@ -153,6 +176,28 @@ mod tests {
         prof::add(Counter::PointsDone, 1);
         std::thread::sleep(Duration::from_millis(10));
         drop(reporter); // joins the thread; the final line prints to stderr
+    }
+
+    #[test]
+    fn a_line_prints_only_when_its_counts_moved() {
+        let mut lines = Lines {
+            label: "sweep".into(),
+            total: 2,
+            last: None,
+        };
+        let second = Duration::from_secs(1);
+        assert!(lines.next(0, 0, second).is_some(), "the first line prints");
+        assert!(
+            lines.next(0, 0, second).is_none(),
+            "a stalled tick is silent"
+        );
+        assert!(lines.next(0, 10, second).is_some(), "new events print");
+        let last = lines.next(2, 50, second).expect("new points print");
+        assert!(last.contains("2/2 points"), "{last}");
+        // The closing line repeats nothing the last tick showed, however
+        // much later it comes.
+        assert!(lines.next(2, 50, 3 * second).is_none());
+        assert!(lines.next(2, 51, 3 * second).is_some());
     }
 
     #[test]
