@@ -806,7 +806,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 
 fn cmd_sustained(args: &[String]) -> Result<(), String> {
     reject_chips(args, "sustained")?;
-    reject_unsupported(args, "sustained", &["--audit"])?;
+    reject_unsupported(args, "sustained", &["--audit", "--progress"])?;
     let out = OutputOpts::parse(args, "--trace");
     let config = config_from_args(args)?;
     let (network_arg, kinds) = named_arg(args, "network", None, names::parse_networks)?;
@@ -883,7 +883,18 @@ fn cmd_sustained(args: &[String]) -> Result<(), String> {
 /// the campaign executor, audited under `--audit`.
 fn cmd_coherent(args: &[String]) -> Result<(), String> {
     reject_chips(args, "coherent")?;
-    reject_unsupported(args, "coherent", &["--metrics", "--trace"])?;
+    reject_unsupported(
+        args,
+        "coherent",
+        &[
+            "--metrics",
+            "--trace",
+            "-v",
+            "--verbose",
+            "--progress",
+            "--host-metrics",
+        ],
+    )?;
     let config = config_from_args(args)?;
     let name = flag(args, "--workload").ok_or("missing --workload")?;
     let spec = workload_from_args(&name, args, &config)?;
@@ -1699,10 +1710,23 @@ mod tests {
                 format!("{coherent} --trace {}", file("coh.trace")),
                 "--trace",
             ),
+            (cmd_coherent, format!("{coherent} -v"), "-v"),
+            (cmd_coherent, format!("{coherent} --verbose"), "--verbose"),
+            (cmd_coherent, format!("{coherent} --progress"), "--progress"),
+            (
+                cmd_coherent,
+                format!("{coherent} --host-metrics"),
+                "--host-metrics",
+            ),
             (
                 cmd_sustained,
                 "sustained --network p2p --pattern uniform --audit -q".to_string(),
                 "--audit",
+            ),
+            (
+                cmd_sustained,
+                "sustained --network p2p --pattern uniform --progress -q".to_string(),
+                "--progress",
             ),
         ] {
             let err = cmd(&args(&line)).expect_err(&line);

@@ -3,17 +3,24 @@
 //! The flight recorder's exports are only trustworthy as provenance if the
 //! simulation itself is deterministic: two runs with the same seed and
 //! configuration must produce byte-identical metrics snapshots and
-//! identical trace event streams.
+//! identical trace event streams. Beyond rerun-against-rerun, a few
+//! points are pinned to digests of their trace and metrics recorded
+//! before the networks shared one packet-lifecycle module, so a
+//! refactor of admission, loop-back or delivery cannot drift silently.
 
-use desim::trace::RingSink;
+use desim::trace::{chrome_trace_json, RingSink};
 use desim::{Span, Time, TraceEvent, Tracer};
+use faults::FaultPlan;
+use macrochip::campaign::{run_point_full, CampaignPoint, PointExecOptions};
 use macrochip::sweep::{run_load_point_traced, SweepOptions};
-use netcore::{MacrochipConfig, MetricsRegistry, NetworkKind};
+use netcore::{FabricConfig, MacrochipConfig, MetricsRegistry, NetworkKind};
 use std::cell::RefCell;
 use std::rc::Rc;
 use workloads::Pattern;
 
-fn run_once(kind: NetworkKind) -> (String, Vec<(Time, TraceEvent)>) {
+const TRACE_CAPACITY: usize = 1 << 20;
+
+fn run_sweep(kind: NetworkKind, pattern: Pattern, load: f64) -> (String, Vec<(Time, TraceEvent)>) {
     let config = MacrochipConfig::scaled();
     let options = SweepOptions {
         sim: Span::from_us(1),
@@ -21,11 +28,11 @@ fn run_once(kind: NetworkKind) -> (String, Vec<(Time, TraceEvent)>) {
         max_stalled: 5_000,
         seed: 42,
     };
-    let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
+    let sink = Rc::new(RefCell::new(RingSink::new(TRACE_CAPACITY)));
     let (_, net) = run_load_point_traced(
         networks::build(kind, config),
-        Pattern::Uniform,
-        0.05,
+        pattern,
+        load,
         &config,
         options,
         Tracer::shared(&sink),
@@ -43,10 +50,130 @@ fn same_seed_and_config_reruns_are_byte_identical() {
         NetworkKind::TokenRing,
         NetworkKind::TwoPhase,
     ] {
-        let (json_a, trace_a) = run_once(kind);
-        let (json_b, trace_b) = run_once(kind);
+        let (json_a, trace_a) = run_sweep(kind, Pattern::Uniform, 0.05);
+        let (json_b, trace_b) = run_sweep(kind, Pattern::Uniform, 0.05);
         assert!(!trace_a.is_empty(), "{kind}: empty trace");
         assert_eq!(json_a, json_b, "{kind}: metrics snapshot differs");
         assert_eq!(trace_a, trace_b, "{kind}: trace stream differs");
     }
+}
+
+/// FNV-1a over the run's Chrome-trace export (the `--trace` file format)
+/// and its metrics JSON.
+fn digest(json: &str, trace: Vec<(Time, TraceEvent)>) -> u64 {
+    let exported = chrome_trace_json(&[(String::new(), trace)]);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in exported.bytes().chain([0]).chain(json.bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Checks every `(label, digest)` against its recorded value and reports
+/// all mismatches at once.
+fn assert_digests(got: &[(String, u64)], want: &[(&str, u64)]) {
+    assert_eq!(got.len(), want.len());
+    let wrong: Vec<String> = got
+        .iter()
+        .zip(want)
+        .filter(|((_, g), (_, w))| g != w)
+        .map(|((label, g), (_, w))| format!("{label}: got {g:#018x}, recorded {w:#018x}"))
+        .collect();
+    assert!(wrong.is_empty(), "digests moved:\n{}", wrong.join("\n"));
+}
+
+/// Transpose sends every diagonal site's traffic to itself (loop-back)
+/// and funnels each other site into one destination, so at this load
+/// every network both loops packets back and refuses injections. With
+/// one destination per source, ALT's doubled switch trees never contend,
+/// so it runs exactly as the base two-phase design does.
+const SWEEP_DIGESTS: [(&str, u64); 7] = [
+    ("Token Ring", 0x59080978ed6d267b),
+    ("Circuit-Switched", 0xfba9c63069c3264e),
+    ("Point-to-Point", 0xb38b14e83b44f5a4),
+    ("Limited Point-to-Point", 0x8b830d5546195406),
+    ("2-Phase Arb.", 0x8dde2ed6e5a73dcc),
+    ("2-Phase Arb. ALT", 0x8dde2ed6e5a73dcc),
+    ("Hierarchical", 0x05b4d35cc514e712),
+];
+
+#[test]
+fn loopback_and_refusal_sweeps_match_recorded_digests() {
+    let mut got = Vec::new();
+    for kind in NetworkKind::ALL {
+        let (json, trace) = run_sweep(kind, Pattern::Transpose, 0.1);
+        let looped = trace
+            .iter()
+            .any(|(_, ev)| matches!(ev, TraceEvent::Inject { src, dst, .. } if src == dst));
+        let refused = trace
+            .iter()
+            .any(|(_, ev)| matches!(ev, TraceEvent::Stall { .. }));
+        assert!(looped, "{kind}: no loop-back injection");
+        assert!(refused, "{kind}: no refused injection");
+        got.push((kind.name().to_string(), digest(&json, trace)));
+    }
+    assert_digests(&got, &SWEEP_DIGESTS);
+}
+
+/// A fault point's trace and metrics, through the campaign executor.
+fn run_fault(kind: NetworkKind, plan: &str) -> (String, Vec<(Time, TraceEvent)>) {
+    let point = CampaignPoint::Fault {
+        kind,
+        pattern: Pattern::Uniform,
+        load: 0.05,
+        plan: FaultPlan::parse(plan).expect("valid plan"),
+        seed: 42,
+        sim: Span::from_us(1),
+        drain: Span::from_us(5),
+        max_stalled: 5_000,
+    };
+    let exec = PointExecOptions {
+        trace: true,
+        metrics: true,
+        trace_capacity: TRACE_CAPACITY,
+        audit: false,
+    };
+    let run = run_point_full(
+        &point,
+        &FabricConfig::single(MacrochipConfig::scaled()),
+        exec,
+    );
+    (run.metrics.expect("metrics requested").to_json(), run.trace)
+}
+
+/// The two ways a network absorbs a packet at injection: two-phase
+/// masks a laser-dead requestor (`Inject` then `Drop`), and limited
+/// point-to-point finds no live route from site 0 to site 9 once both of
+/// its corner links are cut (`Drop` alone).
+const FAULT_DIGESTS: [(&str, u64); 2] = [
+    ("2-Phase Arb. masked", 0xbd2abc3fd28d63eb),
+    ("Limited no-route", 0x34d0e4c28844ebd6),
+];
+
+#[test]
+fn absorbed_at_injection_fault_points_match_recorded_digests() {
+    let mut got = Vec::new();
+    for (label, kind, plan, reason) in [
+        (
+            FAULT_DIGESTS[0].0,
+            NetworkKind::TwoPhase,
+            "laser:5@0ns",
+            "masked",
+        ),
+        (
+            FAULT_DIGESTS[1].0,
+            NetworkKind::LimitedPointToPoint,
+            "link:0->1@0ns; link:0->8@0ns",
+            "no-route",
+        ),
+    ] {
+        let (json, trace) = run_fault(kind, plan);
+        let absorbed = trace
+            .iter()
+            .any(|(_, ev)| matches!(ev, TraceEvent::Drop { reason: r, .. } if *r == reason));
+        assert!(absorbed, "{label}: no `{reason}` drop in the trace");
+        got.push((label.to_string(), digest(&json, trace)));
+    }
+    assert_digests(&got, &FAULT_DIGESTS);
 }

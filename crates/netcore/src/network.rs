@@ -1,4 +1,6 @@
-//! The `Network` trait implemented by all five architectures.
+//! The `Network` trait, implemented for all seven network kinds (six
+//! architecture types: two-phase ALT is a configuration of two-phase)
+//! and for the multi-chip board fabric.
 
 use crate::{FaultResponse, MacrochipConfig, NetFault, NetStats, Packet};
 use desim::{Time, Tracer};
@@ -94,8 +96,9 @@ impl fmt::Display for NetworkKind {
 /// 2. query [`next_event`](Network::next_event) for the earliest pending
 ///    internal event;
 /// 3. [`advance`](Network::advance) simulation up to a chosen instant;
-/// 4. [`drain_delivered`](Network::drain_delivered) packets whose delivery
-///    completed, with their `delivered` timestamps filled in.
+/// 4. [`drain_delivered_into`](Network::drain_delivered_into) packets
+///    whose delivery completed, with their `delivered` timestamps filled
+///    in.
 pub trait Network {
     /// Which architecture this is.
     fn kind(&self) -> NetworkKind;

@@ -19,10 +19,11 @@
 //! The control links are one [`netcore::ChannelBank`]; the per-site
 //! source and destination wait queues are two [`netcore::QueueArena`]s.
 
-use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
+use crate::base::NetBase;
+use desim::{Span, Time, TraceEvent, Tracer};
 use netcore::{
     ChannelBank, FaultResponse, FxHashMap, FxHashSet, MacrochipConfig, NetFault, NetStats, Network,
-    NetworkKind, Packet, PacketRef, PacketSlab, QueueArena, SiteId, SlabStats,
+    NetworkKind, Packet, PacketRef, QueueArena, SiteId, SlabStats,
 };
 
 /// Wavelengths per data circuit (128 × 2.5 GB/s = 320 GB/s).
@@ -115,14 +116,10 @@ pub struct CircuitSwitchedNetwork {
     /// Memo of the last data-burst serialization computed (same value the
     /// division would produce, cached for the common fixed burst size).
     data_ser_memo: std::cell::Cell<(u32, Span)>,
-    slab: PacketSlab,
     gateway_limit: usize,
     batch_limit: usize,
     next_circuit: u64,
-    events: EventQueue<Ev>,
-    delivered: Vec<Packet>,
-    stats: NetStats,
-    tracer: Tracer,
+    base: NetBase<Ev>,
 }
 
 const DIR_XP: usize = 0;
@@ -181,14 +178,10 @@ impl CircuitSwitchedNetwork {
                 64,
                 Span::from_ns_f64(64.0 / config.channel_bytes_per_ns(LAMBDAS_PER_CIRCUIT)),
             )),
-            slab: PacketSlab::new(),
             gateway_limit,
             batch_limit,
             next_circuit: 0,
-            events: EventQueue::new(),
-            delivered: Vec::with_capacity(256),
-            stats: NetStats::new(),
-            tracer: Tracer::disabled(),
+            base: NetBase::new(),
         }
     }
 
@@ -287,8 +280,8 @@ impl CircuitSwitchedNetwork {
         let dir = link % 4;
         if let Some((circuit, finish)) = self.ctrl_links.begin_if_ready(link, now) {
             let next = self.neighbor(site, dir);
-            self.events.push(finish, Ev::CtrlTxDone { link });
-            self.events.push(
+            self.base.events.push(finish, Ev::CtrlTxDone { link });
+            self.base.events.push(
                 finish + self.hop_overhead(),
                 Ev::SetupArrive { circuit, at: next },
             );
@@ -301,7 +294,7 @@ impl CircuitSwitchedNetwork {
             let Some(head) = self.src_wait.pop_front(src.index()) else {
                 return;
             };
-            let packet = self.slab.get_mut(head);
+            let packet = self.base.slab.get_mut(head);
             let dst = packet.dst;
             // Leaving the gateway queue starts the setup handshake: the
             // circuit's setup round trip is this network's arbitration.
@@ -317,8 +310,8 @@ impl CircuitSwitchedNetwork {
                         .src_wait
                         .pop_front(src.index())
                         .expect("length checked");
-                    if packets.len() < self.batch_limit && self.slab.get(extra).dst == dst {
-                        self.slab.get_mut(extra).arb_start = Some(now);
+                    if packets.len() < self.batch_limit && self.base.slab.get(extra).dst == dst {
+                        self.base.slab.get_mut(extra).arb_start = Some(now);
                         packets.push(extra);
                     } else {
                         self.src_wait.push_back(src.index(), extra);
@@ -366,7 +359,7 @@ impl CircuitSwitchedNetwork {
                 self.dst_wait.push_back(dst.index(), circuit);
             }
         } else {
-            self.tracer.emit(now, || TraceEvent::Hop {
+            self.base.tracer.emit(now, || TraceEvent::Hop {
                 packet: circuit,
                 at: at.index(),
             });
@@ -381,15 +374,15 @@ impl CircuitSwitchedNetwork {
             return;
         };
         for pref in c.packets {
-            let p = self.slab.take(pref);
-            self.stats.on_drop();
-            self.tracer.emit(now, || TraceEvent::Drop {
+            let p = self.base.slab.take(pref);
+            self.base.stats.on_drop();
+            self.base.tracer.emit(now, || TraceEvent::Drop {
                 packet: p.id.0,
                 site: at.index(),
                 reason: "setup-lost",
             });
         }
-        self.tracer.emit(now, || TraceEvent::CircuitTeardown {
+        self.base.tracer.emit(now, || TraceEvent::CircuitTeardown {
             circuit,
             packets: 0,
         });
@@ -404,14 +397,14 @@ impl CircuitSwitchedNetwork {
         };
         self.in_active[c.dst.index()] += 1;
         let ack = self.ack_traverse(c.hops);
-        self.events.push(now + ack, Ev::AckArrive { circuit });
+        self.base.events.push(now + ack, Ev::AckArrive { circuit });
     }
 
     fn on_ack(&mut self, circuit: u64, now: Time) {
         let Some(c) = self.circuits.get(&circuit) else {
             return; // abandoned by a fault before the ack came back
         };
-        let bytes: u32 = c.packets.iter().map(|&p| self.slab.get(p).bytes).sum();
+        let bytes: u32 = c.packets.iter().map(|&p| self.base.slab.get(p).bytes).sum();
         let ser = {
             let (memo_bytes, memo_span) = self.data_ser_memo.get();
             if memo_bytes == bytes {
@@ -425,17 +418,18 @@ impl CircuitSwitchedNetwork {
         };
         let (src, dst, hops) = (c.src, c.dst, c.hops);
         for &pref in &c.packets {
-            let p = self.slab.get_mut(pref);
+            let p = self.base.slab.get_mut(pref);
             p.tx_start = Some(now);
             p.tx_end = Some(now + ser);
         }
         let flight = self.hop_delay * hops as u64;
-        self.tracer.emit(now, || TraceEvent::CircuitSetup {
+        self.base.tracer.emit(now, || TraceEvent::CircuitSetup {
             circuit,
             src: src.index(),
             dst: dst.index(),
         });
-        self.events
+        self.base
+            .events
             .push(now + ser + flight, Ev::DataDone { circuit });
     }
 
@@ -446,19 +440,10 @@ impl CircuitSwitchedNetwork {
         // u64: a long-lived circuit must never truncate its carried-packet
         // count — the auditor pairs this against per-packet deliveries.
         let carried = c.packets.len() as u64;
-        for pref in &c.packets {
-            let mut p = self.slab.take(*pref);
-            p.delivered = Some(now);
-            self.stats.on_deliver(&p);
-            self.tracer.emit(now, || TraceEvent::Deliver {
-                packet: p.id.0,
-                src: p.src.index(),
-                dst: p.dst.index(),
-                latency: now.saturating_since(p.created),
-            });
-            self.delivered.push(p);
+        for &pref in &c.packets {
+            self.base.deliver(pref, now);
         }
-        self.tracer.emit(now, || TraceEvent::CircuitTeardown {
+        self.base.tracer.emit(now, || TraceEvent::CircuitTeardown {
             circuit,
             packets: carried,
         });
@@ -485,36 +470,18 @@ impl Network for CircuitSwitchedNetwork {
 
     fn inject(&mut self, packet: Packet, now: Time) -> Result<(), Packet> {
         if packet.src == packet.dst {
-            let mut packet = packet;
-            packet.arb_start = Some(now);
-            packet.tx_start = Some(now);
-            packet.tx_end = Some(now);
-            self.tracer.emit(now, || TraceEvent::Inject {
-                packet: packet.id.0,
-                src: packet.src.index(),
-                dst: packet.dst.index(),
-                bytes: packet.bytes,
-            });
-            let pref = self.slab.insert(packet);
-            self.events
+            let pref = self.base.loopback(packet, now);
+            self.base
+                .events
                 .push(now + self.config.cycle(), Ev::Deliver { packet: pref });
-            self.stats.on_inject(now);
             return Ok(());
         }
         if self.src_wait_full(packet.src.index()) {
-            self.stats.on_reject();
-            return Err(packet);
+            return self.base.refuse(packet);
         }
         let src = packet.src;
-        self.tracer.emit(now, || TraceEvent::Inject {
-            packet: packet.id.0,
-            src: packet.src.index(),
-            dst: packet.dst.index(),
-            bytes: packet.bytes,
-        });
-        let pref = self.slab.insert(packet);
+        let pref = self.base.admit(packet, now);
         self.src_wait.push_back(src.index(), pref);
-        self.stats.on_inject(now);
         self.try_start(src, now);
         Ok(())
     }
@@ -529,46 +496,35 @@ impl Network for CircuitSwitchedNetwork {
 
     fn refuse_if_full(&mut self, queue: u32) -> bool {
         let full = self.src_wait_full(queue as usize);
-        self.stats.reject_if(full)
+        self.base.stats.reject_if(full)
     }
 
     fn next_event(&self) -> Option<Time> {
-        self.events.peek_time()
+        self.base.events.peek_time()
     }
 
     fn advance(&mut self, now: Time) {
-        while let Some((t, ev)) = self.events.pop_due(now) {
+        while let Some((t, ev)) = self.base.events.pop_due(now) {
             match ev {
                 Ev::CtrlTxDone { link } => self.pump_ctrl(link, t),
                 Ev::SetupArrive { circuit, at } => self.on_setup_arrive(circuit, at, t),
                 Ev::AckArrive { circuit } => self.on_ack(circuit, t),
                 Ev::DataDone { circuit } => self.on_data_done(circuit, t),
-                Ev::Deliver { packet } => {
-                    let mut packet = self.slab.take(packet);
-                    packet.delivered = Some(t);
-                    self.stats.on_deliver(&packet);
-                    self.tracer.emit(t, || TraceEvent::Deliver {
-                        packet: packet.id.0,
-                        src: packet.src.index(),
-                        dst: packet.dst.index(),
-                        latency: t.saturating_since(packet.created),
-                    });
-                    self.delivered.push(packet);
-                }
+                Ev::Deliver { packet } => self.base.deliver(packet, t),
             }
         }
     }
 
     fn drain_delivered(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.delivered)
+        self.base.drain_delivered()
     }
 
     fn drain_delivered_into(&mut self, out: &mut Vec<Packet>) {
-        out.append(&mut self.delivered);
+        self.base.drain_delivered_into(out);
     }
 
     fn last_event_time(&self) -> Option<Time> {
-        self.events.last_popped()
+        self.base.events.last_popped()
     }
 
     fn supports_batched_advance(&self) -> bool {
@@ -576,19 +532,19 @@ impl Network for CircuitSwitchedNetwork {
     }
 
     fn slab_stats(&self) -> Option<SlabStats> {
-        Some(self.slab.stats())
+        Some(self.base.slab.stats())
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.base.stats
     }
 
     fn events_processed(&self) -> u64 {
-        self.events.popped()
+        self.base.events.popped()
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.base.tracer = tracer;
     }
 
     /// Degradation policy: path re-setup around killed segments. Setup

@@ -29,10 +29,11 @@
 //! The bridge links are one [`netcore::ChannelBank`] and the cluster
 //! rings' FIFOs one [`netcore::QueueArena`].
 
-use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
+use crate::base::NetBase;
+use desim::{Span, Time, TraceEvent, Tracer};
 use netcore::{
     ChannelBank, FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet,
-    PacketRef, PacketSlab, QueueArena, SiteId, SlabStats,
+    PacketRef, QueueArena, SiteId, SlabStats,
 };
 
 /// Point-to-point wavelengths provisioned per in-cluster destination;
@@ -105,11 +106,7 @@ pub struct HierarchicalNetwork {
     prop: crate::geom::PropByHops,
     ring_bw: f64,
     link_bw: f64,
-    slab: PacketSlab,
-    events: EventQueue<Ev>,
-    delivered: Vec<Packet>,
-    stats: NetStats,
-    tracer: Tracer,
+    base: NetBase<Ev>,
 }
 
 impl HierarchicalNetwork {
@@ -156,11 +153,7 @@ impl HierarchicalNetwork {
             prop: crate::geom::PropByHops::new(&config.layout),
             ring_bw,
             link_bw,
-            slab: PacketSlab::new(),
-            events: EventQueue::new(),
-            delivered: Vec::with_capacity(256),
-            stats: NetStats::new(),
-            tracer: Tracer::disabled(),
+            base: NetBase::new(),
         }
     }
 
@@ -232,7 +225,7 @@ impl HierarchicalNetwork {
             return;
         };
         let (src, dst, bytes) = {
-            let p = self.slab.get_mut(pref);
+            let p = self.base.slab.get_mut(pref);
             (p.src, p.dst, p.bytes)
         };
         let (sc, dc) = (self.cluster_of(src), self.cluster_of(dst));
@@ -262,7 +255,7 @@ impl HierarchicalNetwork {
         let ser = Span::from_ns_f64(f64::from(bytes) / self.rings[cluster].bytes_per_ns);
         let finish = now + ser;
         {
-            let p = self.slab.get_mut(pref);
+            let p = self.base.slab.get_mut(pref);
             if p.arb_start.is_none() {
                 p.arb_start = Some(now);
             }
@@ -271,20 +264,20 @@ impl HierarchicalNetwork {
             }
             p.tx_end = Some(finish);
         }
-        self.tracer.emit(now, || TraceEvent::TokenAcquire {
+        self.base.tracer.emit(now, || TraceEvent::TokenAcquire {
             dst: cluster,
             holder: launcher.index(),
         });
         // The release is emitted now, stamped with the grant's known end
         // time, so acquire/release always pair in the trace stream even
         // when a saturated run is cut off before `RingFree` pops.
-        self.tracer.emit(finish, || TraceEvent::TokenRelease {
+        self.base.tracer.emit(finish, || TraceEvent::TokenRelease {
             dst: cluster,
             holder: launcher.index(),
         });
         let prop = self.config.layout.hop_delay() * self.ring_pitches(launcher, target) as u64;
-        self.events.push(finish, Ev::RingFree { cluster });
-        self.events.push(
+        self.base.events.push(finish, Ev::RingFree { cluster });
+        self.base.events.push(
             finish + prop,
             Ev::RingArrive {
                 packet: pref,
@@ -298,7 +291,7 @@ impl HierarchicalNetwork {
         if let Some((pref, finish)) = self.links.begin_if_ready(link, now) {
             self.link_load[link] -= 1;
             let (src_c, dst_c) = (link / self.rings.len(), link % self.rings.len());
-            let packet = self.slab.get_mut(pref);
+            let packet = self.base.slab.get_mut(pref);
             // First-set-wins: a bridge-sourced packet starts its wire
             // time here; a relayed one already started it on its ring.
             if packet.arb_start.is_none() {
@@ -312,8 +305,9 @@ impl HierarchicalNetwork {
                 self.config.grid.coord(self.bridge_site(src_c)),
                 self.config.grid.coord(self.bridge_site(dst_c)),
             );
-            self.events.push(finish, Ev::LinkFree { link });
-            self.events
+            self.base.events.push(finish, Ev::LinkFree { link });
+            self.base
+                .events
                 .push(finish + prop, Ev::LinkArrive { packet: pref });
         }
     }
@@ -321,35 +315,22 @@ impl HierarchicalNetwork {
     /// An electronic bridge stores and forwards the packet: routed-bytes
     /// accounting plus the `Hop` trace event the auditor reconciles.
     fn relay_at(&mut self, pref: PacketRef, bridge: SiteId, at: Time) {
-        let p = self.slab.get_mut(pref);
+        let p = self.base.slab.get_mut(pref);
         p.routed_bytes += p.bytes;
         let id = p.id.0;
-        self.tracer.emit(at, || TraceEvent::Hop {
+        self.base.tracer.emit(at, || TraceEvent::Hop {
             packet: id,
             at: bridge.index(),
         });
     }
 
-    fn deliver(&mut self, pref: PacketRef, at: Time) {
-        let mut packet = self.slab.take(pref);
-        packet.delivered = Some(at);
-        self.stats.on_deliver(&packet);
-        self.tracer.emit(at, || TraceEvent::Deliver {
-            packet: packet.id.0,
-            src: packet.src.index(),
-            dst: packet.dst.index(),
-            latency: at.saturating_since(packet.created),
-        });
-        self.delivered.push(packet);
-    }
-
     fn on_ring_arrive(&mut self, pref: PacketRef, relay: bool, at: Time) {
         if !relay {
-            self.deliver(pref, at);
+            self.base.deliver(pref, at);
             return;
         }
         let (src, dst, bytes) = {
-            let p = self.slab.get_mut(pref);
+            let p = self.base.slab.get_mut(pref);
             (p.src, p.dst, p.bytes)
         };
         let (sc, dc) = (self.cluster_of(src), self.cluster_of(dst));
@@ -363,12 +344,12 @@ impl HierarchicalNetwork {
     }
 
     fn on_link_arrive(&mut self, pref: PacketRef, at: Time) {
-        let dst = self.slab.get_mut(pref).dst;
+        let dst = self.base.slab.get_mut(pref).dst;
         let dc = self.cluster_of(dst);
         let bridge = self.bridge_site(dc);
         if dst == bridge {
             // The ingress bridge is the destination: no second relay.
-            self.deliver(pref, at);
+            self.base.deliver(pref, at);
             return;
         }
         self.relay_at(pref, bridge, at);
@@ -386,23 +367,13 @@ impl Network for HierarchicalNetwork {
         &self.config
     }
 
-    fn inject(&mut self, packet: Packet, now: Time) -> Result<(), Packet> {
+    fn inject(&mut self, mut packet: Packet, now: Time) -> Result<(), Packet> {
         if packet.src == packet.dst {
             // Single-cycle intra-site loop-back.
-            let mut packet = packet;
-            packet.arb_start = Some(now);
-            packet.tx_start = Some(now);
-            packet.tx_end = Some(now);
-            self.tracer.emit(now, || TraceEvent::Inject {
-                packet: packet.id.0,
-                src: packet.src.index(),
-                dst: packet.dst.index(),
-                bytes: packet.bytes,
-            });
-            let pref = self.slab.insert(packet);
-            self.events
+            let pref = self.base.loopback(packet, now);
+            self.base
+                .events
                 .push(now + self.config.cycle(), Ev::Deliver { packet: pref });
-            self.stats.on_inject(now);
             return Ok(());
         }
         let sc = self.cluster_of(packet.src);
@@ -410,60 +381,29 @@ impl Network for HierarchicalNetwork {
             packet.src == self.bridge_site(sc),
             self.cluster_of(packet.dst),
         );
-        let trace_fields = self.tracer.is_enabled().then(|| {
-            (
-                packet.id.0,
-                packet.src.index(),
-                packet.dst.index(),
-                packet.bytes,
-            )
-        });
         // A bridge site sending cross-cluster skips its own ring and
         // queues straight onto the bridge link (no relay hop: the packet
         // originates in the bridge's buffers).
         if src_is_bridge && sc != dc {
             let link = self.link_index(sc, dc);
             if self.link_full(link) {
-                self.stats.on_reject();
-                return Err(packet);
+                return self.base.refuse(packet);
             }
             self.link_load[link] += 1;
             let bytes = packet.bytes;
-            let pref = self.slab.insert(packet);
-            {
-                let p = self.slab.get_mut(pref);
-                p.arb_start = Some(now);
-            }
+            packet.arb_start = Some(now);
+            let pref = self.base.admit(packet, now);
             self.links
                 .try_enqueue(link, pref, bytes)
                 .expect("checked not full");
-            self.stats.on_inject(now);
-            if let Some((id, src, dst, bytes)) = trace_fields {
-                self.tracer.emit(now, || TraceEvent::Inject {
-                    packet: id,
-                    src,
-                    dst,
-                    bytes,
-                });
-            }
             self.pump_link(link, now);
             return Ok(());
         }
         if self.ring_full(sc) {
-            self.stats.on_reject();
-            return Err(packet);
+            return self.base.refuse(packet);
         }
-        let pref = self.slab.insert(packet);
+        let pref = self.base.admit(packet, now);
         self.ring_queues.push_back(sc, pref);
-        self.stats.on_inject(now);
-        if let Some((id, src, dst, bytes)) = trace_fields {
-            self.tracer.emit(now, || TraceEvent::Inject {
-                packet: id,
-                src,
-                dst,
-                bytes,
-            });
-        }
         self.pump_ring(sc, now);
         Ok(())
     }
@@ -492,15 +432,15 @@ impl Network for HierarchicalNetwork {
         } else {
             self.link_full(queue - clusters)
         };
-        self.stats.reject_if(full)
+        self.base.stats.reject_if(full)
     }
 
     fn next_event(&self) -> Option<Time> {
-        self.events.peek_time()
+        self.base.events.peek_time()
     }
 
     fn advance(&mut self, now: Time) {
-        while let Some((t, ev)) = self.events.pop_due(now) {
+        while let Some((t, ev)) = self.base.events.pop_due(now) {
             match ev {
                 Ev::RingFree { cluster } => {
                     // The matching TokenRelease was emitted at grant time.
@@ -515,29 +455,29 @@ impl Network for HierarchicalNetwork {
                     self.pump_ring(link / self.rings.len(), t);
                 }
                 Ev::LinkArrive { packet } => self.on_link_arrive(packet, t),
-                Ev::Deliver { packet } => self.deliver(packet, t),
+                Ev::Deliver { packet } => self.base.deliver(packet, t),
             }
         }
     }
 
     fn drain_delivered(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.delivered)
+        self.base.drain_delivered()
     }
 
     fn drain_delivered_into(&mut self, out: &mut Vec<Packet>) {
-        out.append(&mut self.delivered);
+        self.base.drain_delivered_into(out);
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.base.stats
     }
 
     fn events_processed(&self) -> u64 {
-        self.events.popped()
+        self.base.events.popped()
     }
 
     fn last_event_time(&self) -> Option<Time> {
-        self.events.last_popped()
+        self.base.events.last_popped()
     }
 
     fn supports_batched_advance(&self) -> bool {
@@ -545,11 +485,11 @@ impl Network for HierarchicalNetwork {
     }
 
     fn slab_stats(&self) -> Option<SlabStats> {
-        Some(self.slab.stats())
+        Some(self.base.slab.stats())
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.base.tracer = tracer;
     }
 
     /// Degradation policy: a killed waveguide inside a cluster (or a lost

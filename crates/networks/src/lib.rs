@@ -25,6 +25,11 @@
 //!   site count, so it stays practical past the paper's 8×8 ceiling
 //!   (see [`netcore::MacrochipConfig::with_side`]).
 //!
+//! All six record a packet's admission, single-cycle loop-back, refusal
+//! and delivery through one crate-private module, `base`, so the
+//! per-architecture code is only arbitration, switching, routing and
+//! fault handling.
+//!
 //! [`build`] constructs any architecture from a [`NetworkKind`].
 //!
 //! # Example
@@ -46,6 +51,7 @@
 //! assert!(done[0].latency().unwrap().as_ns_f64() > 12.8); // serialization + flight
 //! ```
 
+mod base;
 pub mod circuit;
 pub mod fabric;
 mod geom;

@@ -16,10 +16,11 @@
 //! [`netcore::ChannelBank`] indexed compactly per site (7,680 channels at
 //! side 16, where a dense S² map would hold 65,536 slots).
 
-use desim::{EventQueue, Time, TraceEvent, Tracer};
+use crate::base::NetBase;
+use desim::{Time, TraceEvent, Tracer};
 use netcore::{
     ChannelBank, FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet,
-    PacketRef, PacketSlab, SiteId, SlabStats,
+    PacketRef, SiteId, SlabStats,
 };
 
 /// Wavelengths per peer channel (8 × 2.5 GB/s = 20 GB/s).
@@ -88,17 +89,13 @@ pub struct LimitedP2pNetwork {
     /// [`Self::channel_index`]).
     channels: ChannelBank<PacketRef>,
     prop: crate::geom::PropByHops,
-    slab: PacketSlab,
     /// Killed links, indexed like `channels`.
     dead: Vec<bool>,
     /// Set by [`Network::apply_fault`]: a killed or repaired
     /// link re-routes packets to another first hop, so admission-queue
     /// hints taken before it may name the wrong queue.
     faulted: bool,
-    events: EventQueue<Ev>,
-    delivered: Vec<Packet>,
-    stats: NetStats,
-    tracer: Tracer,
+    base: NetBase<Ev>,
 }
 
 impl LimitedP2pNetwork {
@@ -121,11 +118,7 @@ impl LimitedP2pNetwork {
             faulted: false,
             channels: ChannelBank::new(channels, bw, config.queue_capacity),
             prop: crate::geom::PropByHops::new(&config.layout),
-            slab: PacketSlab::new(),
-            events: EventQueue::new(),
-            delivered: Vec::with_capacity(256),
-            stats: NetStats::new(),
-            tracer: Tracer::disabled(),
+            base: NetBase::new(),
         }
     }
 
@@ -211,8 +204,8 @@ impl LimitedP2pNetwork {
     }
 
     fn drop_packet(&mut self, packet: Packet, at: SiteId, now: Time) {
-        self.stats.on_drop();
-        self.tracer.emit(now, || TraceEvent::Drop {
+        self.base.stats.on_drop();
+        self.base.tracer.emit(now, || TraceEvent::Drop {
             packet: packet.id.0,
             site: at.index(),
             reason: "no-route",
@@ -224,7 +217,7 @@ impl LimitedP2pNetwork {
     fn pump(&mut self, src: SiteId, hop_dst: SiteId, now: Time) {
         let channel = self.channel_index(src, hop_dst);
         if let Some((pref, finish)) = self.channels.begin_if_ready(channel, now) {
-            let packet = self.slab.get_mut(pref);
+            let packet = self.base.slab.get_mut(pref);
             if hop_dst == packet.dst {
                 // Final optical hop: the wire portion of the trip starts.
                 // No arbitration exists here, so the phase is zero-width;
@@ -236,8 +229,10 @@ impl LimitedP2pNetwork {
             let prop = self
                 .prop
                 .delay(self.config.grid.coord(src), self.config.grid.coord(hop_dst));
-            self.events.push(finish, Ev::TxDone { src, hop: hop_dst });
-            self.events.push(
+            self.base
+                .events
+                .push(finish, Ev::TxDone { src, hop: hop_dst });
+            self.base.events.push(
                 finish + prop,
                 Ev::Arrive {
                     packet: pref,
@@ -248,12 +243,12 @@ impl LimitedP2pNetwork {
     }
 
     fn on_arrive(&mut self, packet: PacketRef, at_site: SiteId, t: Time) {
-        if at_site == self.slab.get(packet).dst {
-            self.deliver(packet, t);
+        if at_site == self.base.slab.get(packet).dst {
+            self.base.deliver(packet, t);
         } else {
             // Intermediate hop: O-E/E-O conversion plus the one-cycle
             // electronic router (§4.6).
-            self.events.push(
+            self.base.events.push(
                 t + FORWARD_CONVERSION,
                 Ev::Forward {
                     packet,
@@ -267,15 +262,15 @@ impl LimitedP2pNetwork {
         // Route from the router toward the destination; in the healthy
         // network this is always the direct peer channel `at -> dst`, but
         // a killed link diverts through a further electronic hop.
-        let Some(hop) = self.route_first_hop(at, self.slab.get(pref).dst) else {
-            let packet = self.slab.take(pref);
+        let Some(hop) = self.route_first_hop(at, self.base.slab.get(pref).dst) else {
+            let packet = self.base.slab.take(pref);
             self.drop_packet(packet, at, t);
             return;
         };
-        let packet = self.slab.get_mut(pref);
+        let packet = self.base.slab.get_mut(pref);
         packet.routed_bytes = packet.routed_bytes.saturating_add(packet.bytes);
         let (id, bytes) = (packet.id.0, packet.bytes);
-        self.tracer.emit(t, || TraceEvent::Hop {
+        self.base.tracer.emit(t, || TraceEvent::Hop {
             packet: id,
             at: at.index(),
         });
@@ -291,21 +286,8 @@ impl LimitedP2pNetwork {
         };
         match retry_at {
             None => self.pump(at, hop, t),
-            Some((when, p)) => self.events.push(when, Ev::Forward { packet: p, at }),
+            Some((when, p)) => self.base.events.push(when, Ev::Forward { packet: p, at }),
         }
-    }
-
-    fn deliver(&mut self, pref: PacketRef, at: Time) {
-        let mut packet = self.slab.take(pref);
-        packet.delivered = Some(at);
-        self.stats.on_deliver(&packet);
-        self.tracer.emit(at, || TraceEvent::Deliver {
-            packet: packet.id.0,
-            src: packet.src.index(),
-            dst: packet.dst.index(),
-            latency: at.saturating_since(packet.created),
-        });
-        self.delivered.push(packet);
     }
 }
 
@@ -320,64 +302,33 @@ impl Network for LimitedP2pNetwork {
 
     fn inject(&mut self, packet: Packet, now: Time) -> Result<(), Packet> {
         if packet.src == packet.dst {
-            let mut packet = packet;
-            packet.arb_start = Some(now);
-            packet.tx_start = Some(now);
-            packet.tx_end = Some(now);
-            self.tracer.emit(now, || TraceEvent::Inject {
-                packet: packet.id.0,
-                src: packet.src.index(),
-                dst: packet.dst.index(),
-                bytes: packet.bytes,
-            });
             let at_site = packet.dst;
-            let pref = self.slab.insert(packet);
-            self.events.push(
+            let pref = self.base.loopback(packet, now);
+            self.base.events.push(
                 now + self.config.cycle(),
                 Ev::Arrive {
                     at_site,
                     packet: pref,
                 },
             );
-            self.stats.on_inject(now);
             return Ok(());
         }
         let Some(first_hop) = self.route_first_hop(packet.src, packet.dst) else {
             // Every route is dead: absorb the packet as a fault drop so
             // the driver does not retry forever against a dead path.
-            self.stats.on_inject(now);
+            self.base.stats.on_inject(now);
             self.drop_packet(packet, packet.src, now);
             return Ok(());
         };
         let idx = self.channel_index(packet.src, first_hop);
-        // Fast path: skip extracting trace fields (the packet is moved
-        // into the queue below) unless the flight recorder is attached.
-        let trace_fields = self.tracer.is_enabled().then(|| {
-            (
-                packet.id.0,
-                packet.src.index(),
-                packet.dst.index(),
-                packet.bytes,
-            )
-        });
         if self.channels.is_full(idx) {
-            self.stats.on_reject();
-            return Err(packet);
+            return self.base.refuse(packet);
         }
         let (src, bytes) = (packet.src, packet.bytes);
-        let pref = self.slab.insert(packet);
+        let pref = self.base.admit(packet, now);
         self.channels
             .try_enqueue(idx, pref, bytes)
             .expect("checked not full");
-        self.stats.on_inject(now);
-        if let Some((id, src, dst, bytes)) = trace_fields {
-            self.tracer.emit(now, || TraceEvent::Inject {
-                packet: id,
-                src,
-                dst,
-                bytes,
-            });
-        }
         self.pump(src, first_hop, now);
         Ok(())
     }
@@ -404,15 +355,15 @@ impl Network for LimitedP2pNetwork {
     /// route is dead), so an older hint no longer names its queue.
     fn refuse_if_full(&mut self, queue: u32) -> bool {
         let full = !self.faulted && self.channels.is_full(queue as usize);
-        self.stats.reject_if(full)
+        self.base.stats.reject_if(full)
     }
 
     fn next_event(&self) -> Option<Time> {
-        self.events.peek_time()
+        self.base.events.peek_time()
     }
 
     fn advance(&mut self, now: Time) {
-        while let Some((t, ev)) = self.events.pop_due(now) {
+        while let Some((t, ev)) = self.base.events.pop_due(now) {
             match ev {
                 Ev::TxDone { src, hop } => self.pump(src, hop, t),
                 Ev::Arrive { packet, at_site } => self.on_arrive(packet, at_site, t),
@@ -422,23 +373,23 @@ impl Network for LimitedP2pNetwork {
     }
 
     fn drain_delivered(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.delivered)
+        self.base.drain_delivered()
     }
 
     fn drain_delivered_into(&mut self, out: &mut Vec<Packet>) {
-        out.append(&mut self.delivered);
+        self.base.drain_delivered_into(out);
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.base.stats
     }
 
     fn events_processed(&self) -> u64 {
-        self.events.popped()
+        self.base.events.popped()
     }
 
     fn last_event_time(&self) -> Option<Time> {
-        self.events.last_popped()
+        self.base.events.last_popped()
     }
 
     fn supports_batched_advance(&self) -> bool {
@@ -446,11 +397,11 @@ impl Network for LimitedP2pNetwork {
     }
 
     fn slab_stats(&self) -> Option<SlabStats> {
-        Some(self.slab.stats())
+        Some(self.base.slab.stats())
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.base.tracer = tracer;
     }
 
     /// Degradation policy: electronic re-route around killed links. A
@@ -470,7 +421,7 @@ impl Network for LimitedP2pNetwork {
                 let idx = self.channel_index(src, dst);
                 self.dead[idx] = true;
                 let refs = self.channels.drain_queue(idx);
-                let evicted = refs.into_iter().map(|r| self.slab.take(r)).collect();
+                let evicted = refs.into_iter().map(|r| self.base.slab.take(r)).collect();
                 FaultResponse::handled("reroute").with_evicted(evicted)
             }
             NetFault::LinkRepair { src, dst } => {

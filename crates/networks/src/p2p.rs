@@ -14,10 +14,11 @@
 //! channel and one pooled queue for all of them, so building the network
 //! makes the same few allocations at any grid size.
 
-use desim::{EventQueue, Time, TraceEvent, Tracer};
+use crate::base::NetBase;
+use desim::{Time, Tracer};
 use netcore::{
     ChannelBank, FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet,
-    PacketRef, PacketSlab, SlabStats,
+    PacketRef, SlabStats,
 };
 
 /// Wavelengths per point-to-point channel (2 × 2.5 GB/s = 5 GB/s).
@@ -53,11 +54,7 @@ pub struct P2pNetwork {
     config: MacrochipConfig,
     channels: ChannelBank<PacketRef>,
     prop: crate::geom::PropByHops,
-    slab: PacketSlab,
-    events: EventQueue<Ev>,
-    delivered: Vec<Packet>,
-    stats: NetStats,
-    tracer: Tracer,
+    base: NetBase<Ev>,
 }
 
 impl P2pNetwork {
@@ -70,11 +67,7 @@ impl P2pNetwork {
             config,
             channels: ChannelBank::new(sites * sites, bw, config.queue_capacity),
             prop: crate::geom::PropByHops::new(&config.layout),
-            slab: PacketSlab::new(),
-            events: EventQueue::new(),
-            delivered: Vec::with_capacity(256),
-            stats: NetStats::new(),
-            tracer: Tracer::disabled(),
+            base: NetBase::new(),
         }
     }
 
@@ -87,7 +80,7 @@ impl P2pNetwork {
         if let Some((pref, finish)) = self.channels.begin_if_ready(channel, now) {
             // No arbitration on a dedicated channel: the arbitration phase
             // is zero-width, so all pre-wire delay counts as queueing.
-            let packet = self.slab.get_mut(pref);
+            let packet = self.base.slab.get_mut(pref);
             packet.arb_start = Some(now);
             packet.tx_start = Some(now);
             packet.tx_end = Some(finish);
@@ -95,23 +88,11 @@ impl P2pNetwork {
                 self.config.grid.coord(packet.src),
                 self.config.grid.coord(packet.dst),
             );
-            self.events.push(finish, Ev::TxDone { channel });
-            self.events
+            self.base.events.push(finish, Ev::TxDone { channel });
+            self.base
+                .events
                 .push(finish + prop, Ev::Deliver { packet: pref });
         }
-    }
-
-    fn deliver(&mut self, pref: PacketRef, at: Time) {
-        let mut packet = self.slab.take(pref);
-        packet.delivered = Some(at);
-        self.stats.on_deliver(&packet);
-        self.tracer.emit(at, || TraceEvent::Deliver {
-            packet: packet.id.0,
-            src: packet.src.index(),
-            dst: packet.dst.index(),
-            latency: at.saturating_since(packet.created),
-        });
-        self.delivered.push(packet);
     }
 }
 
@@ -127,51 +108,21 @@ impl Network for P2pNetwork {
     fn inject(&mut self, packet: Packet, now: Time) -> Result<(), Packet> {
         if packet.src == packet.dst {
             // Single-cycle intra-site loop-back.
-            let mut packet = packet;
-            packet.arb_start = Some(now);
-            packet.tx_start = Some(now);
-            packet.tx_end = Some(now);
-            self.tracer.emit(now, || TraceEvent::Inject {
-                packet: packet.id.0,
-                src: packet.src.index(),
-                dst: packet.dst.index(),
-                bytes: packet.bytes,
-            });
-            let pref = self.slab.insert(packet);
-            self.events
+            let pref = self.base.loopback(packet, now);
+            self.base
+                .events
                 .push(now + self.config.cycle(), Ev::Deliver { packet: pref });
-            self.stats.on_inject(now);
             return Ok(());
         }
         let channel = self.channel_index(&packet);
-        // Fast path: skip extracting trace fields (the packet is moved
-        // into the queue below) unless the flight recorder is attached.
-        let trace_fields = self.tracer.is_enabled().then(|| {
-            (
-                packet.id.0,
-                packet.src.index(),
-                packet.dst.index(),
-                packet.bytes,
-            )
-        });
         if self.channels.is_full(channel) {
-            self.stats.on_reject();
-            return Err(packet);
+            return self.base.refuse(packet);
         }
         let bytes = packet.bytes;
-        let pref = self.slab.insert(packet);
+        let pref = self.base.admit(packet, now);
         self.channels
             .try_enqueue(channel, pref, bytes)
             .expect("checked not full");
-        self.stats.on_inject(now);
-        if let Some((id, src, dst, bytes)) = trace_fields {
-            self.tracer.emit(now, || TraceEvent::Inject {
-                packet: id,
-                src,
-                dst,
-                bytes,
-            });
-        }
         self.pump(channel, now);
         Ok(())
     }
@@ -186,40 +137,40 @@ impl Network for P2pNetwork {
 
     fn refuse_if_full(&mut self, queue: u32) -> bool {
         let full = self.channels.is_full(queue as usize);
-        self.stats.reject_if(full)
+        self.base.stats.reject_if(full)
     }
 
     fn next_event(&self) -> Option<Time> {
-        self.events.peek_time()
+        self.base.events.peek_time()
     }
 
     fn advance(&mut self, now: Time) {
-        while let Some((t, ev)) = self.events.pop_due(now) {
+        while let Some((t, ev)) = self.base.events.pop_due(now) {
             match ev {
                 Ev::TxDone { channel } => self.pump(channel, t),
-                Ev::Deliver { packet } => self.deliver(packet, t),
+                Ev::Deliver { packet } => self.base.deliver(packet, t),
             }
         }
     }
 
     fn drain_delivered(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.delivered)
+        self.base.drain_delivered()
     }
 
     fn drain_delivered_into(&mut self, out: &mut Vec<Packet>) {
-        out.append(&mut self.delivered);
+        self.base.drain_delivered_into(out);
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.base.stats
     }
 
     fn events_processed(&self) -> u64 {
-        self.events.popped()
+        self.base.events.popped()
     }
 
     fn last_event_time(&self) -> Option<Time> {
-        self.events.last_popped()
+        self.base.events.last_popped()
     }
 
     fn supports_batched_advance(&self) -> bool {
@@ -227,11 +178,11 @@ impl Network for P2pNetwork {
     }
 
     fn slab_stats(&self) -> Option<SlabStats> {
-        Some(self.slab.stats())
+        Some(self.base.slab.stats())
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.base.tracer = tracer;
     }
 
     /// Degradation policy: every site pair has a dedicated two-wavelength

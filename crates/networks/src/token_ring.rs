@@ -17,10 +17,11 @@
 //! the per-destination bundles share one serialization memo (they have
 //! one bandwidth and no queue of their own).
 
-use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
+use crate::base::NetBase;
+use desim::{Span, Time, TraceEvent, Tracer};
 use netcore::{
     FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet, PacketRef,
-    PacketSlab, QueueArena, SlabStats,
+    QueueArena, SlabStats,
 };
 use std::cell::Cell;
 
@@ -94,17 +95,13 @@ pub struct TokenRingNetwork {
     site_rpos: Vec<usize>,
     /// Ring position -> site id.
     pos_site: Vec<netcore::SiteId>,
-    slab: PacketSlab,
     /// Token state per destination.
     tokens: Vec<Token>,
     /// Packets a site may transmit per token grab; the paper's evaluation
     /// behaves like one cache line per grab ("one cycle to transmit ... 80
     /// cycles to reacquire").
     max_burst: usize,
-    events: EventQueue<Ev>,
-    delivered: Vec<Packet>,
-    stats: NetStats,
-    tracer: Tracer,
+    base: NetBase<Ev>,
 }
 
 impl TokenRingNetwork {
@@ -151,12 +148,8 @@ impl TokenRingNetwork {
                     at: Time::ZERO,
                 })
                 .collect(),
-            slab: PacketSlab::new(),
             max_burst,
-            events: EventQueue::new(),
-            delivered: Vec::with_capacity(256),
-            stats: NetStats::new(),
-            tracer: Tracer::disabled(),
+            base: NetBase::new(),
         }
     }
 
@@ -204,7 +197,7 @@ impl TokenRingNetwork {
         if matches!(self.tokens[dst], Token::Free { .. }) {
             let at = self.token_arrival(dst, pos, now);
             self.tokens[dst] = Token::Claimed;
-            self.events.push(at, Ev::TokenArrive { dst, pos });
+            self.base.events.push(at, Ev::TokenArrive { dst, pos });
         }
     }
 
@@ -264,7 +257,7 @@ impl TokenRingNetwork {
         let sites = self.config.grid.sites();
         let holder_site = self.pos_site[pos];
         let q_idx = self.queue_index(holder_site.index(), dst);
-        self.tracer.emit(t, || TraceEvent::TokenAcquire {
+        self.base.tracer.emit(t, || TraceEvent::TokenAcquire {
             dst,
             holder: holder_site.index(),
         });
@@ -281,13 +274,14 @@ impl TokenRingNetwork {
             let Some(pref) = self.queues.pop_front(q_idx) else {
                 break;
             };
-            let packet = self.slab.get_mut(pref);
+            let packet = self.base.slab.get_mut(pref);
             packet.tx_start = Some(finish);
             let bytes = packet.bytes;
             let ser = self.serialization(bytes);
             finish += ser;
-            self.slab.get_mut(pref).tx_end = Some(finish);
-            self.events
+            self.base.slab.get_mut(pref).tx_end = Some(finish);
+            self.base
+                .events
                 .push(finish + prop, Ev::Deliver { packet: pref });
             sent += 1;
         }
@@ -296,7 +290,7 @@ impl TokenRingNetwork {
             // Re-injecting the token costs the holder a beat.
             finish += TOKEN_RELEASE;
         }
-        self.tracer.emit(finish, || TraceEvent::TokenRelease {
+        self.base.tracer.emit(finish, || TraceEvent::TokenRelease {
             dst,
             holder: holder_site.index(),
         });
@@ -311,7 +305,7 @@ impl TokenRingNetwork {
         match self.next_waiting(dst, pos) {
             Some(p) => {
                 let k = if p > pos { p - pos } else { sites - pos + p };
-                self.events.push(
+                self.base.events.push(
                     finish + self.hop * k as u64,
                     Ev::TokenArrive { dst, pos: p },
                 );
@@ -321,19 +315,6 @@ impl TokenRingNetwork {
                 self.tokens[dst] = Token::Free { pos, at: finish };
             }
         }
-    }
-
-    fn deliver(&mut self, pref: PacketRef, at: Time) {
-        let mut packet = self.slab.take(pref);
-        packet.delivered = Some(at);
-        self.stats.on_deliver(&packet);
-        self.tracer.emit(at, || TraceEvent::Deliver {
-            packet: packet.id.0,
-            src: packet.src.index(),
-            dst: packet.dst.index(),
-            latency: at.saturating_since(packet.created),
-        });
-        self.delivered.push(packet);
     }
 }
 
@@ -348,43 +329,25 @@ impl Network for TokenRingNetwork {
 
     fn inject(&mut self, packet: Packet, now: Time) -> Result<(), Packet> {
         if packet.src == packet.dst {
-            let mut packet = packet;
-            packet.arb_start = Some(now);
-            packet.tx_start = Some(now);
-            packet.tx_end = Some(now);
-            self.tracer.emit(now, || TraceEvent::Inject {
-                packet: packet.id.0,
-                src: packet.src.index(),
-                dst: packet.dst.index(),
-                bytes: packet.bytes,
-            });
-            let pref = self.slab.insert(packet);
-            self.events
+            let pref = self.base.loopback(packet, now);
+            self.base
+                .events
                 .push(now + self.config.cycle(), Ev::Deliver { packet: pref });
-            self.stats.on_inject(now);
             return Ok(());
         }
         let dst = packet.dst.index();
         let q = self.queue_index(packet.src.index(), dst);
         if self.queue_full(q) {
-            self.stats.on_reject();
-            return Err(packet);
+            return self.base.refuse(packet);
         }
         let pos = self.ring_pos(packet.src);
         let mut packet = packet;
         // Token arbitration starts the moment the packet queues: the wait
         // for the circulating token is this network's arbitration phase.
         packet.arb_start = Some(now);
-        self.tracer.emit(now, || TraceEvent::Inject {
-            packet: packet.id.0,
-            src: packet.src.index(),
-            dst: packet.dst.index(),
-            bytes: packet.bytes,
-        });
-        let pref = self.slab.insert(packet);
+        let pref = self.base.admit(packet, now);
         self.queues.push_back(q, pref);
         self.set_waiting(dst, pos);
-        self.stats.on_inject(now);
         self.claim_token(dst, pos, now);
         Ok(())
     }
@@ -399,40 +362,40 @@ impl Network for TokenRingNetwork {
 
     fn refuse_if_full(&mut self, queue: u32) -> bool {
         let full = self.queue_full(queue as usize);
-        self.stats.reject_if(full)
+        self.base.stats.reject_if(full)
     }
 
     fn next_event(&self) -> Option<Time> {
-        self.events.peek_time()
+        self.base.events.peek_time()
     }
 
     fn advance(&mut self, now: Time) {
-        while let Some((t, ev)) = self.events.pop_due(now) {
+        while let Some((t, ev)) = self.base.events.pop_due(now) {
             match ev {
                 Ev::TokenArrive { dst, pos } => self.on_token_arrive(dst, pos, t),
-                Ev::Deliver { packet } => self.deliver(packet, t),
+                Ev::Deliver { packet } => self.base.deliver(packet, t),
             }
         }
     }
 
     fn drain_delivered(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.delivered)
+        self.base.drain_delivered()
     }
 
     fn drain_delivered_into(&mut self, out: &mut Vec<Packet>) {
-        out.append(&mut self.delivered);
+        self.base.drain_delivered_into(out);
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.base.stats
     }
 
     fn events_processed(&self) -> u64 {
-        self.events.popped()
+        self.base.events.popped()
     }
 
     fn last_event_time(&self) -> Option<Time> {
-        self.events.last_popped()
+        self.base.events.last_popped()
     }
 
     fn supports_batched_advance(&self) -> bool {
@@ -440,11 +403,11 @@ impl Network for TokenRingNetwork {
     }
 
     fn slab_stats(&self) -> Option<SlabStats> {
-        Some(self.slab.stats())
+        Some(self.base.slab.stats())
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.base.tracer = tracer;
     }
 
     /// Degradation policy: token regeneration after loss. A laser loss or

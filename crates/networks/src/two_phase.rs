@@ -26,10 +26,11 @@
 //! through one [`netcore::QueueArena`], and the switch-tree busy times are
 //! one flat vector.
 
-use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
+use crate::base::NetBase;
+use desim::{Span, Time, TraceEvent, Tracer};
 use netcore::{
     FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet, PacketRef,
-    PacketSlab, QueueArena, SiteId, SlabStats,
+    QueueArena, SiteId, SlabStats,
 };
 
 /// Wavelengths per shared data channel (16 × 2.5 GB/s = 40 GB/s).
@@ -153,11 +154,7 @@ pub struct TwoPhaseNetwork {
     /// per-grant float math into a compare (same values, cached).
     dur_memo: std::cell::Cell<(u32, Span)>,
     ser_memo: std::cell::Cell<(u32, Span)>,
-    slab: PacketSlab,
-    events: EventQueue<Ev>,
-    delivered: Vec<Packet>,
-    stats: NetStats,
-    tracer: Tracer,
+    base: NetBase<Ev>,
 }
 
 impl TwoPhaseNetwork {
@@ -208,11 +205,7 @@ impl TwoPhaseNetwork {
             prop: crate::geom::PropByHops::new(&config.layout),
             dur_memo: std::cell::Cell::new((64, Self::slotted_duration_raw(bw, 64))),
             ser_memo: std::cell::Cell::new((64, Span::from_ns_f64(64.0 / bw))),
-            slab: PacketSlab::new(),
-            events: EventQueue::new(),
-            delivered: Vec::with_capacity(256),
-            stats: NetStats::new(),
-            tracer: Tracer::disabled(),
+            base: NetBase::new(),
         }
     }
 
@@ -240,7 +233,7 @@ impl TwoPhaseNetwork {
     /// requestor, sink or channel), appending its packets to `out`.
     fn evict_requests(&mut self, channel: usize, col: usize, out: &mut Vec<Packet>) {
         let rq = self.request_queue(channel, col);
-        let slab = &mut self.slab;
+        let slab = &mut self.base.slab;
         out.extend(self.requests.drain(rq).map(|q| slab.take(q.packet)));
         self.channels[channel].occ &= !(1 << col);
     }
@@ -300,7 +293,7 @@ impl TwoPhaseNetwork {
         }
         ch.scheduled = true;
         let t = Self::align_slot(at.max(ch.free_at));
-        self.events.push(t, Ev::Slot { channel });
+        self.base.events.push(t, Ev::Slot { channel });
     }
 
     fn on_slot(&mut self, channel: usize, t: Time) {
@@ -370,7 +363,7 @@ impl TwoPhaseNetwork {
             .requests
             .front(rq)
             .expect("selected source has a head packet");
-        let dur = self.slotted_duration(self.slab.get(head.packet).bytes);
+        let dur = self.slotted_duration(self.base.slab.get(head.packet).bytes);
 
         // Phase 2: the switch tree for the destination's column must be
         // free for the whole reserved duration.
@@ -398,33 +391,34 @@ impl TwoPhaseNetwork {
                 }
                 let pref = queued.packet;
                 self.trees[tree_base + tree] = t + dur;
-                let bytes = self.slab.get(pref).bytes;
+                let bytes = self.base.slab.get(pref).bytes;
                 let ser = self.serialization(bytes);
                 let prop = self
                     .prop
                     .delay(self.config.grid.coord(src), self.config.grid.coord(dst));
-                let packet = self.slab.get_mut(pref);
+                let packet = self.base.slab.get_mut(pref);
                 packet.tx_start = Some(t);
                 packet.routed_bytes = 0;
                 packet.tx_end = Some(t + ser);
                 let (id, wasted) = (packet.id.0, queued.wasted);
-                self.tracer.emit(t, || TraceEvent::ArbGrant {
+                self.base.tracer.emit(t, || TraceEvent::ArbGrant {
                     packet: id,
                     site: src.index(),
                     wasted_slots: wasted,
                 });
-                self.events
+                self.base
+                    .events
                     .push(t + ser + prop, Ev::Deliver { packet: pref });
             }
             None => {
                 // Tree conflict: reservation burns, packet re-arbitrates.
-                self.stats.on_wasted_slot();
+                self.base.stats.on_wasted_slot();
                 let q = self.requests.front_mut(rq).expect("head packet present");
                 q.eligible_at = t + ARB_PIPELINE;
                 q.wasted += 1;
                 let pref = q.packet;
-                let id = self.slab.get(pref).id.0;
-                self.tracer.emit(t, || TraceEvent::Retry {
+                let id = self.base.slab.get(pref).id.0;
+                self.base.tracer.emit(t, || TraceEvent::Retry {
                     packet: id,
                     site: src.index(),
                 });
@@ -436,19 +430,6 @@ impl TwoPhaseNetwork {
             let at = self.channels[channel].free_at;
             self.schedule_slot(channel, at);
         }
-    }
-
-    fn deliver(&mut self, pref: PacketRef, at: Time) {
-        let mut packet = self.slab.take(pref);
-        packet.delivered = Some(at);
-        self.stats.on_deliver(&packet);
-        self.tracer.emit(at, || TraceEvent::Deliver {
-            packet: packet.id.0,
-            src: packet.src.index(),
-            dst: packet.dst.index(),
-            latency: at.saturating_since(packet.created),
-        });
-        self.delivered.push(packet);
     }
 }
 
@@ -467,20 +448,10 @@ impl Network for TwoPhaseNetwork {
 
     fn inject(&mut self, packet: Packet, now: Time) -> Result<(), Packet> {
         if packet.src == packet.dst {
-            let mut packet = packet;
-            packet.arb_start = Some(now);
-            packet.tx_start = Some(now);
-            packet.tx_end = Some(now);
-            self.tracer.emit(now, || TraceEvent::Inject {
-                packet: packet.id.0,
-                src: packet.src.index(),
-                dst: packet.dst.index(),
-                bytes: packet.bytes,
-            });
-            let pref = self.slab.insert(packet);
-            self.events
+            let pref = self.base.loopback(packet, now);
+            self.base
+                .events
                 .push(now + self.config.cycle(), Ev::Deliver { packet: pref });
-            self.stats.on_inject(now);
             return Ok(());
         }
         let channel = self.channel_index(packet.src, packet.dst);
@@ -496,15 +467,15 @@ impl Network for TwoPhaseNetwork {
             // still sees the admission — stats counted it as injected, so
             // an Inject event must precede the Drop or the trace stream
             // under-reports injections.
-            self.stats.on_inject(now);
-            self.stats.on_drop();
-            self.tracer.emit(now, || TraceEvent::Inject {
+            self.base.stats.on_inject(now);
+            self.base.stats.on_drop();
+            self.base.tracer.emit(now, || TraceEvent::Inject {
                 packet: packet.id.0,
                 src: packet.src.index(),
                 dst: packet.dst.index(),
                 bytes: packet.bytes,
             });
-            self.tracer.emit(now, || TraceEvent::Drop {
+            self.base.tracer.emit(now, || TraceEvent::Drop {
                 packet: packet.id.0,
                 site: packet.src.index(),
                 reason: "masked",
@@ -512,23 +483,16 @@ impl Network for TwoPhaseNetwork {
             return Ok(());
         }
         if self.request_queue_full(channel, src_col) {
-            self.stats.on_reject();
-            return Err(packet);
+            return self.base.refuse(packet);
         }
         let mut packet = packet;
         packet.arb_start = Some(now);
-        self.tracer.emit(now, || TraceEvent::Inject {
-            packet: packet.id.0,
-            src: packet.src.index(),
-            dst: packet.dst.index(),
-            bytes: packet.bytes,
-        });
-        self.tracer.emit(now, || TraceEvent::ArbRequest {
-            packet: packet.id.0,
-            site: packet.src.index(),
-        });
+        let (id, site) = (packet.id.0, packet.src.index());
+        let pref = self.base.admit(packet, now);
+        self.base
+            .tracer
+            .emit(now, || TraceEvent::ArbRequest { packet: id, site });
         let eligible_at = now + ARB_PIPELINE;
-        let pref = self.slab.insert(packet);
         let rq = self.request_queue(channel, src_col);
         self.requests.push_back(
             rq,
@@ -539,7 +503,6 @@ impl Network for TwoPhaseNetwork {
             },
         );
         self.channels[channel].occ |= 1 << src_col;
-        self.stats.on_inject(now);
         self.schedule_slot(channel, eligible_at);
         Ok(())
     }
@@ -561,40 +524,40 @@ impl Network for TwoPhaseNetwork {
         let side = self.config.grid.side();
         let (channel, col) = (queue as usize / side, queue as usize % side);
         let full = !self.faulted && self.request_queue_full(channel, col);
-        self.stats.reject_if(full)
+        self.base.stats.reject_if(full)
     }
 
     fn next_event(&self) -> Option<Time> {
-        self.events.peek_time()
+        self.base.events.peek_time()
     }
 
     fn advance(&mut self, now: Time) {
-        while let Some((t, ev)) = self.events.pop_due(now) {
+        while let Some((t, ev)) = self.base.events.pop_due(now) {
             match ev {
                 Ev::Slot { channel } => self.on_slot(channel, t),
-                Ev::Deliver { packet } => self.deliver(packet, t),
+                Ev::Deliver { packet } => self.base.deliver(packet, t),
             }
         }
     }
 
     fn drain_delivered(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.delivered)
+        self.base.drain_delivered()
     }
 
     fn drain_delivered_into(&mut self, out: &mut Vec<Packet>) {
-        out.append(&mut self.delivered);
+        self.base.drain_delivered_into(out);
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.base.stats
     }
 
     fn events_processed(&self) -> u64 {
-        self.events.popped()
+        self.base.events.popped()
     }
 
     fn last_event_time(&self) -> Option<Time> {
-        self.events.last_popped()
+        self.base.events.last_popped()
     }
 
     fn supports_batched_advance(&self) -> bool {
@@ -602,11 +565,11 @@ impl Network for TwoPhaseNetwork {
     }
 
     fn slab_stats(&self) -> Option<SlabStats> {
-        Some(self.slab.stats())
+        Some(self.base.slab.stats())
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.base.tracer = tracer;
     }
 
     /// Degradation policy: the distributed arbiters mask dead requestors.
