@@ -13,13 +13,15 @@
 //! macrochip trace-info run.mtrc | --dir traces/ [--write-index]
 //! macrochip trace-transform --trace run.mtrc --out half.mtrc --truncate-ns 500
 //! macrochip cache     stats | prune [--max-bytes N] [--older-than SPAN]
+//! macrochip figures   [--only fig7_speedup,fig10_edp] [--ops 10] [--jobs 2]
 //! ```
 //!
 //! Argument parsing is deliberately dependency-free. The four campaign
 //! commands (sweep, faults, run-all, replay) differ only in their flags,
 //! their point lists and their manifests: [`run_campaign`] runs and files
 //! their points, and [`write_outputs`] writes what every measuring command
-//! exports.
+//! exports. `figures` runs the coherent grid of Figures 7-10 through the
+//! same driver.
 
 use coherence::EngineConfig;
 use desim::prof;
@@ -27,6 +29,7 @@ use desim::trace::{chrome_trace_json, RingSink};
 use desim::{Span, Time, TraceEvent, Tracer};
 use macrochip::campaign::{self, CampaignPoint, PointExecOptions, PointResult};
 use macrochip::experiment::run_coherent_observed;
+use macrochip::figures::{self, Figure, FigureContext, FIGURES};
 use macrochip::names;
 use macrochip::prelude::*;
 use macrochip::report::{self, fmt, Table};
@@ -38,7 +41,7 @@ use replay::{CaptureSink, CorpusManifest, TraceMeta};
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::BufWriter;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::rc::Rc;
 use std::time::Instant;
@@ -73,6 +76,8 @@ USAGE:
                          | --truncate-ns <NS> | --keep-kind <KIND>
                          | --remap <rot:K|i,j,...> | --merge <A,B,...>)
     macrochip cache     stats | prune [--max-bytes <N>] [--older-than <AGE>]
+    macrochip figures   [--only <NAME,...>] [--out <DIR>] [--ops <N>]
+                        [--duration-short] [--jobs <N>] [--no-cache]
 
 NETWORKS:   p2p, limited, token, circuit, two-phase, two-phase-alt,
             hierarchical, all
@@ -125,15 +130,17 @@ OUTPUT (each flag names the commands that take it):
                        Violations are printed with packet id, site and sim
                        time, exported as the audit.* metrics family, and
                        fail the command with a nonzero exit.
-    -q, --quiet        (every --metrics or --audit command, and capture)
-                       suppress the result table and the audit summary
-    -v, --verbose      (every --metrics command) print one stderr line
-                       per point, prefixed with the command name
-    --progress         (sweep, faults, run-all, replay) stream a live
-                       status line to stderr every 500 ms (points done,
-                       furthest sim time, events, events/sec, ETA) read
-                       from the always-on host counters; never perturbs
-                       results
+    -q, --quiet        (every --metrics or --audit command, capture and
+                       figures) suppress the result table and the audit
+                       summary
+    -v, --verbose      (every --metrics command, and figures) print one
+                       stderr line per point, prefixed with the command
+                       name
+    --progress         (sweep, faults, run-all, replay, figures) stream
+                       a live status line to stderr every 500 ms (points
+                       done, furthest sim time, events, events/sec, ETA)
+                       read from the always-on host counters; never
+                       perturbs results
     --host-metrics     append a host.* metrics family (wall-clock,
                        events/sec, peak RSS, profiler span table) to the
                        --metrics output. Host figures are wall-clock
@@ -146,7 +153,7 @@ OUTPUT (each flag names the commands that take it):
                        stderr last. Simulation results are byte-identical
                        either way
 
-PARALLELISM (sweep, faults, run-all, replay — campaign engine):
+PARALLELISM (sweep, faults, run-all, replay, figures — campaign engine):
     --jobs <N>         shard independent points across N worker threads
                        (default 1 = serial; 0 = one per hardware thread).
                        Output is byte-identical for every N.
@@ -167,6 +174,19 @@ TRACES (capture, replay — the cross-network comparison harness):
     replay reproduces the live run's stats byte-for-byte. --stats writes
     the net.*-family metrics snapshot both sides use for that comparison.
     KINDS for --keep-kind: data, request, forward, invalidate, ack, control
+
+FIGURES (the paper's tables and figures, then the studies beyond it):
+    table1, table4, table5_power, table6_counts, fig6_latency_load,
+    fig7_speedup, fig8_latency, fig9_router_energy, fig10_edp,
+    macrochip_2015, ablations, sensitivity, future_message_passing,
+    latency_breakdown, fairness, degradation
+    figures builds every artifact, or those --only names, in this order.
+    Each prints under a `=== name ===` banner and writes its CSV files
+    under --out (default results). Figures 7-10 share one coherent grid
+    (11 workloads x 7 networks) that runs once, through the result cache;
+    --ops sets its synthetic workloads' misses per core (default 150).
+    --duration-short shortens the Figure 6 and degradation traffic
+    windows.
 ";
 
 /// Retained trace events per load point; the ring keeps the most recent
@@ -270,8 +290,8 @@ impl AuditLog {
     }
 }
 
-/// Campaign-engine controls shared by `sweep`, `faults`, `run-all` and
-/// `replay`.
+/// Campaign-engine controls shared by `sweep`, `faults`, `run-all`,
+/// `replay` and `figures`.
 struct JobOpts {
     /// Worker threads; `0` auto-detects, `1` (the default) is serial.
     jobs: usize,
@@ -322,6 +342,8 @@ struct CampaignRun {
     sweep: Table,
     fault: Table,
     replay: Table,
+    /// The coherent points' runs, in point order.
+    coherent: Vec<CoherentRun>,
     /// Sweep points that saturated.
     saturated: usize,
     sections: Vec<(String, Vec<(Time, TraceEvent)>)>,
@@ -335,11 +357,12 @@ struct CampaignRun {
     points: usize,
 }
 
-/// The one campaign driver behind sweep, faults, run-all and replay. Runs
-/// `points` on `--jobs` workers through the result cache, with live
-/// progress, then files each point in order: its row in the table for its
-/// result type, its audit report, trace section, metrics record and `-v`
-/// line, each under the label that point type has always carried.
+/// The one campaign driver behind sweep, faults, run-all, replay and the
+/// coherent grid of figures. Runs `points` on `--jobs` workers through the
+/// result cache, with live progress, then files each point in order: its
+/// row in the table for its result type (or its run, for coherent points),
+/// its audit report, trace section, metrics record and `-v` line, each
+/// under the label that point type has always carried.
 fn run_campaign(
     cmd: &str,
     points: &[CampaignPoint],
@@ -357,6 +380,7 @@ fn run_campaign(
         sweep: report::sweep_table(),
         fault: report::fault_table(),
         replay: report::replay_table(),
+        coherent: Vec::new(),
         saturated: 0,
         sections: Vec::new(),
         runs: Vec::new(),
@@ -405,6 +429,16 @@ fn run_campaign(
                     f.availability, f.retries, f.lost
                 );
                 (label.clone(), label, load, f.saturated, line)
+            }
+            (CampaignPoint::Coherent { spec, .. }, PointResult::Coherent(r)) => {
+                let label = format!("{name} {}", spec.name());
+                let line = format!(
+                    "{label}: makespan {} us, {:.2} ns per op",
+                    fmt(r.makespan.as_ns_f64() / 1e3, 2),
+                    r.mean_op_latency.as_ns_f64()
+                );
+                run.coherent.push(r.clone());
+                (label.clone(), label, f64::NAN, false, line)
             }
             (CampaignPoint::Replay { trace, .. }, PointResult::Replay(r)) => {
                 if r.poisoned {
@@ -1471,6 +1505,83 @@ fn cmd_trace_transform(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The artifacts `--only` names, or every one without it, in index order.
+/// An unknown name is refused with the list of valid ones.
+fn select_figures(only: Option<&str>) -> Result<Vec<Figure>, String> {
+    let Some(only) = only else {
+        return Ok(FIGURES.to_vec());
+    };
+    let names: Vec<&str> = only.split(',').collect();
+    if let Some(bad) = names.iter().find(|&&n| FIGURES.iter().all(|f| f.name != n)) {
+        let valid: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        return Err(format!(
+            "unknown artifact `{bad}` (valid: {})",
+            valid.join(", ")
+        ));
+    }
+    Ok(FIGURES
+        .into_iter()
+        .filter(|f| names.contains(&f.name))
+        .collect())
+}
+
+/// Builds the paper artifacts: prints each under a `=== name ===` banner
+/// and writes its files under `--out`. The coherent grid behind Figures
+/// 7-10 runs once, through the campaign driver, when one of them is
+/// selected.
+fn cmd_figures(args: &[String]) -> Result<(), String> {
+    reject_chips(args, "figures")?;
+    // Most artifacts do not run through the point executor, and none has
+    // a seed or geometry to vary.
+    reject_unsupported(
+        args,
+        "figures",
+        &[
+            "--side",
+            "--audit",
+            "--metrics",
+            "--trace",
+            "--host-metrics",
+            "--seed",
+        ],
+    )?;
+    let selected = select_figures(flag(args, "--only").as_deref())?;
+    let out = OutputOpts::parse(args, "--trace");
+    let jobs = JobOpts::parse(args)?;
+    let ops: u32 = flag(args, "--ops")
+        .map(|s| s.parse().map_err(|_| format!("bad --ops {s}")))
+        .transpose()?
+        .unwrap_or(150);
+    let dir = PathBuf::from(flag(args, "--out").unwrap_or_else(|| "results".into()));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("writing {}: {e}", dir.display()))?;
+    let grid = if selected.iter().any(|f| f.uses_grid) {
+        let points = figures::grid_points(ops);
+        let chip = FabricConfig::single(MacrochipConfig::scaled());
+        let exec = PointExecOptions::default();
+        run_campaign("figures", &points, &chip, exec, &jobs, &out)?.coherent
+    } else {
+        Vec::new()
+    };
+    let ctx = FigureContext {
+        out: &dir,
+        short: switch(args, "--duration-short"),
+        jobs: jobs.jobs,
+        grid: &grid,
+    };
+    for figure in selected {
+        let artifact = (figure.build)(&ctx);
+        for (name, contents) in &artifact.files {
+            let path = dir.join(name);
+            std::fs::write(&path, contents)
+                .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        }
+        if !out.quiet {
+            print!("\n=== {} ===\n\n{}", figure.name, artifact.text);
+        }
+    }
+    Ok(())
+}
+
 /// Parses an offered load (a fraction of peak bandwidth). Open-loop
 /// traffic needs a positive, finite rate, so anything else is a bad flag
 /// rather than a panic inside the run.
@@ -1571,6 +1682,7 @@ fn main() -> ExitCode {
         Some("trace-info") => cmd_trace_info(&args),
         Some("trace-transform") => cmd_trace_transform(&args),
         Some("cache") => cmd_cache(&args),
+        Some("figures") => cmd_figures(&args),
         Some("help") | None => {
             print!("{USAGE}");
             Ok(())
@@ -1596,8 +1708,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::{
-        cmd_capture, cmd_coherent, cmd_faults, cmd_replay, cmd_run_all, cmd_sustained, cmd_sweep,
-        parse_age, parse_load,
+        cmd_capture, cmd_coherent, cmd_faults, cmd_figures, cmd_replay, cmd_run_all, cmd_sustained,
+        cmd_sweep, parse_age, parse_load, select_figures,
     };
     use std::path::{Path, PathBuf};
     use std::time::Duration;
@@ -1699,6 +1811,7 @@ mod tests {
         let file = |name: &str| dir.join(name).display().to_string();
         type Cmd = fn(&[String]) -> Result<(), String>;
         let coherent = "coherent --workload Swaptions --network p2p -q";
+        let figures = format!("figures --only table1 -q --out {}", file("figs"));
         for (cmd, line, flag) in [
             (
                 cmd_coherent as Cmd,
@@ -1728,6 +1841,25 @@ mod tests {
                 "sustained --network p2p --pattern uniform --progress -q".to_string(),
                 "--progress",
             ),
+            (cmd_figures, format!("{figures} --chips 2"), "--chips"),
+            (cmd_figures, format!("{figures} --side 4"), "--side"),
+            (cmd_figures, format!("{figures} --audit"), "--audit"),
+            (
+                cmd_figures,
+                format!("{figures} --metrics {}", file("figs.json")),
+                "--metrics",
+            ),
+            (
+                cmd_figures,
+                format!("{figures} --trace {}", file("figs.trace")),
+                "--trace",
+            ),
+            (
+                cmd_figures,
+                format!("{figures} --host-metrics"),
+                "--host-metrics",
+            ),
+            (cmd_figures, format!("{figures} --seed 3"), "--seed"),
         ] {
             let err = cmd(&args(&line)).expect_err(&line);
             assert_eq!(err.lines().count(), 1, "{err}");
@@ -1735,6 +1867,61 @@ mod tests {
         }
         let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert!(written.is_empty(), "a refused command writes nothing");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn figures_only_selects_in_index_order_and_refuses_unknown_names() {
+        let names = |only| -> Vec<&str> {
+            let selected = select_figures(only).unwrap();
+            selected.iter().map(|f| f.name).collect()
+        };
+        assert_eq!(names(Some("fig10_edp,table1")), ["table1", "fig10_edp"]);
+        assert_eq!(names(None).len(), macrochip::figures::FIGURES.len());
+        let err = select_figures(Some("table1,nope")).expect_err("an unknown name");
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(
+            err.contains("`nope`") && err.contains("fig7_speedup"),
+            "{err}"
+        );
+
+        // An unknown name is refused before anything is written.
+        let dir = scratch_dir("figures-only");
+        let out = dir.join("figs");
+        let line = format!("figures --only nope --out {}", out.display());
+        assert!(cmd_figures(&args(&line)).is_err());
+        assert!(!out.exists(), "a refused figures run writes nothing");
+        // A selected artifact writes its files under --out.
+        let line = format!("figures --only table4 -q --out {}", out.display());
+        cmd_figures(&args(&line)).unwrap();
+        assert!(out.join("table4.csv").is_file());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn figures_reports_a_write_failure_under_out() {
+        let dir = scratch_dir("figures-write");
+        // A regular file where the output directory should go.
+        let blocker = dir.join("blocker");
+        std::fs::write(&blocker, "").unwrap();
+        let line = format!("figures --only table1 -q --out {}", blocker.display());
+        let err = cmd_figures(&args(&line)).expect_err("--out is a file");
+        assert!(
+            err.starts_with(&format!("writing {}: ", blocker.display())),
+            "{err}"
+        );
+        // A directory where an artifact's file should go.
+        let csv = dir.join("figs").join("table1.csv");
+        std::fs::create_dir_all(&csv).unwrap();
+        let line = format!(
+            "figures --only table1 -q --out {}",
+            dir.join("figs").display()
+        );
+        let err = cmd_figures(&args(&line)).expect_err("table1.csv is a directory");
+        assert!(
+            err.starts_with(&format!("writing {}: ", csv.display())),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -23,8 +23,9 @@
 //!   synthetic workloads (Figures 7 and 8);
 //! * [`energy`] — laser/tuning/transceiver/router energy accounting and
 //!   energy-delay products (Table 5, Figures 9 and 10);
-//! * [`report`] — plain-text/markdown/CSV table rendering for the
-//!   regeneration binaries;
+//! * [`figures`] — every table and figure of the paper's evaluation, and
+//!   the studies beyond it, as pure functions behind `macrochip figures`;
+//! * [`report`] — plain-text/markdown/CSV table rendering;
 //! * [`manifest`] — run provenance (config, seed, limits, outcome,
 //!   version) emitted alongside exported metrics;
 //! * [`replay_run`] — trace-driven experiments: capture any run into a
@@ -55,6 +56,7 @@ pub mod audit_run;
 pub mod campaign;
 pub mod energy;
 pub mod experiment;
+pub mod figures;
 pub mod manifest;
 pub mod names;
 pub mod progress;

@@ -1,5 +1,5 @@
-//! Plain-text, markdown and CSV table rendering for the regeneration
-//! binaries.
+//! Plain-text, markdown and CSV table rendering for the CLI and the
+//! paper artifacts of [`crate::figures`].
 
 use std::fmt::Write as _;
 

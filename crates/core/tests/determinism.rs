@@ -143,12 +143,14 @@ fn run_fault(kind: NetworkKind, plan: &str) -> (String, Vec<(Time, TraceEvent)>)
 }
 
 /// The two ways a network absorbs a packet at injection: two-phase
-/// masks a laser-dead requestor (`Inject` then `Drop`), and limited
-/// point-to-point finds no live route from site 0 to site 9 once both of
-/// its corner links are cut (`Drop` alone).
+/// masks a laser-dead requestor, and limited point-to-point finds no live
+/// route from site 0 to site 9 once both of its corner links are cut.
+/// Both trace `Inject` then `Drop`. The limited point-to-point digest was
+/// re-recorded when its absorbed packets gained the `Inject` the
+/// two-phase ones always had.
 const FAULT_DIGESTS: [(&str, u64); 2] = [
     ("2-Phase Arb. masked", 0xbd2abc3fd28d63eb),
-    ("Limited no-route", 0x34d0e4c28844ebd6),
+    ("Limited no-route", 0x6752b4ff9e6b9641),
 ];
 
 #[test]
@@ -169,10 +171,23 @@ fn absorbed_at_injection_fault_points_match_recorded_digests() {
         ),
     ] {
         let (json, trace) = run_fault(kind, plan);
-        let absorbed = trace
-            .iter()
-            .any(|(_, ev)| matches!(ev, TraceEvent::Drop { reason: r, .. } if *r == reason));
-        assert!(absorbed, "{label}: no `{reason}` drop in the trace");
+        let absorbed =
+            |ev: &TraceEvent| matches!(ev, TraceEvent::Drop { reason: r, .. } if *r == reason);
+        assert!(
+            trace.iter().any(|(_, ev)| absorbed(ev)),
+            "{label}: no `{reason}` drop in the trace"
+        );
+        // An absorbed packet is traced as injected the moment before it
+        // is dropped.
+        for pair in trace.windows(2) {
+            if let [(t0, before), (t1, drop @ TraceEvent::Drop { packet, .. })] = pair {
+                if absorbed(drop)
+                    && !matches!(before, TraceEvent::Inject { packet: p, .. } if p == packet)
+                {
+                    panic!("{label}: drop of {packet} at {t1:?} follows {before:?} at {t0:?}");
+                }
+            }
+        }
         got.push((label.to_string(), digest(&json, trace)));
     }
     assert_digests(&got, &FAULT_DIGESTS);

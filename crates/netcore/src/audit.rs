@@ -7,7 +7,8 @@
 //! * **Packet conservation** — every injected packet ends in exactly one
 //!   of delivered / dropped / still in flight / awaiting a fault retry,
 //!   per network and per site. Double deliveries, deliveries of unknown
-//!   packets, and drops after delivery are violations.
+//!   packets, drops after delivery and network drops of never-injected
+//!   packets are violations.
 //! * **Causality and physical lower bounds** — a delivery can never
 //!   precede its injection, nor beat the time of flight implied by the
 //!   [`photonics::geometry::Layout`] (torus-wrapped Manhattan distance at
@@ -152,10 +153,8 @@ pub struct Auditor {
     nack_events: u64,
     corrupt_events: u64,
     /// Packets absorbed at injection time (drop for a never-seen id) by
-    /// the network itself ("masked", "no-route", …).
-    absorbed_net: u64,
-    /// Packets absorbed at injection time by the fault wrapper
-    /// ("dead-site" for an injection toward a dead destination).
+    /// the fault wrapper ("dead-site" for an injection toward a dead
+    /// destination).
     absorbed_wrapper: u64,
     /// Drop events (any packet) carrying a network-level reason.
     drops_net: u64,
@@ -194,7 +193,6 @@ impl Auditor {
             stall_events: 0,
             nack_events: 0,
             corrupt_events: 0,
-            absorbed_net: 0,
             absorbed_wrapper: 0,
             drops_net: 0,
             drops_wrapper: 0,
@@ -496,17 +494,18 @@ impl Auditor {
             self.drops_net += 1;
         }
         match self.packets.get_mut(&packet) {
-            None => {
-                // A drop for a packet with no inject event is the
-                // absorbed-at-injection admission path (a masked or
-                // unroutable or dead destination): the packet is
-                // accounted, it just never flew.
-                if wrapper {
-                    self.absorbed_wrapper += 1;
-                } else {
-                    self.absorbed_net += 1;
-                }
-            }
+            // The fault wrapper absorbs a packet toward a dead site without
+            // handing it to the network: it is accounted, it just never
+            // flew. A network traces `Inject` before any drop, including
+            // the packets it absorbs at injection (masked, unroutable).
+            None if wrapper => self.absorbed_wrapper += 1,
+            None => self.flag(
+                "conservation.drop-without-inject",
+                Some(packet),
+                Some(site),
+                at,
+                format!("dropped ({reason}) but never injected"),
+            ),
             Some(p) => match p.phase {
                 PacketPhase::InFlight | PacketPhase::PendingRetry => {
                     p.phase = PacketPhase::Dropped;
@@ -685,16 +684,15 @@ impl Auditor {
                 ),
             );
         }
-        if self.inject_events + self.absorbed_net != stats.injected_packets() {
+        if self.inject_events != stats.injected_packets() {
             self.flag(
                 "accounting.injected-mismatch",
                 None,
                 None,
                 end,
                 format!(
-                    "{} inject events + {} absorbed vs {} injected in NetStats",
+                    "{} inject events vs {} injected in NetStats",
                     self.inject_events,
-                    self.absorbed_net,
                     stats.injected_packets()
                 ),
             );
@@ -822,7 +820,7 @@ impl Auditor {
             network: self.kind,
             events: self.events,
             packets_tracked: self.packets.len() as u64,
-            absorbed: self.absorbed_net + self.absorbed_wrapper,
+            absorbed: self.absorbed_wrapper,
             delivered,
             dropped,
             in_flight,
@@ -966,8 +964,9 @@ pub struct AuditReport {
     /// Unique packets that entered the network (absorbed admissions not
     /// included).
     pub packets_tracked: u64,
-    /// Packets accounted as dropped at the injection boundary (masked
-    /// sites, unroutable or dead destinations).
+    /// Packets the fault wrapper accounted as dropped at the injection
+    /// boundary (dead destinations). A network's own absorbed admissions
+    /// (masked, unroutable) trace `Inject` first and count as dropped.
     pub absorbed: u64,
     /// Packets whose final state is delivered.
     pub delivered: u64,
@@ -1289,11 +1288,12 @@ mod tests {
     #[test]
     fn absorbed_admissions_reconcile_injection_counts() {
         // A masked two-phase injection: counted in NetStats as injected
-        // and dropped, but the stream only carries the Drop event.
+        // and dropped, and traced as an Inject then a Drop at once.
         let mut a = auditor(NetworkKind::TwoPhase);
         let mut stats = NetStats::new();
         stats.on_inject(Time::ZERO);
         stats.on_drop();
+        a.record(Time::ZERO, inject(5, 2, 9));
         a.record(
             Time::ZERO,
             TraceEvent::Drop {
@@ -1303,6 +1303,43 @@ mod tests {
             },
         );
         let report = a.finalize(&stats, 0, Time::ZERO);
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!((report.dropped, report.absorbed), (1, 0));
+    }
+
+    #[test]
+    fn a_network_drop_without_an_inject_is_flagged() {
+        // A network-reason Drop for a packet no Inject announced.
+        let mut a = auditor(NetworkKind::LimitedPointToPoint);
+        let mut stats = NetStats::new();
+        stats.on_inject(Time::ZERO);
+        stats.on_drop();
+        a.record(
+            Time::ZERO,
+            TraceEvent::Drop {
+                packet: 5,
+                site: 0,
+                reason: "no-route",
+            },
+        );
+        let report = a.finalize(&stats, 0, Time::ZERO);
+        let checks: Vec<&str> = report.violations.iter().map(|v| v.check).collect();
+        assert!(
+            checks.contains(&"conservation.drop-without-inject"),
+            "{checks:?}"
+        );
+        // A fault-wrapper drop of a never-injected packet is an absorbed
+        // admission, not a violation.
+        let mut b = auditor(NetworkKind::LimitedPointToPoint);
+        b.record(
+            Time::ZERO,
+            TraceEvent::Drop {
+                packet: 6,
+                site: 3,
+                reason: "dead-site",
+            },
+        );
+        let report = b.finalize(&NetStats::new(), 1, Time::ZERO);
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!(report.absorbed, 1);
     }

@@ -3,7 +3,8 @@
 //! The architectures differ only in how they arbitrate, switch and route.
 //! How a packet enters a site, is counted, is traced and leaves is the
 //! same for all of them, and is recorded here alone: [`NetBase::admit`],
-//! [`NetBase::loopback`], [`NetBase::refuse`] and [`NetBase::deliver`].
+//! [`NetBase::loopback`], [`NetBase::absorb`], [`NetBase::refuse`] and
+//! [`NetBase::deliver`].
 //! A network owns one [`NetBase`] over its own event type and reaches the
 //! slab, event queue, statistics and tracer through it.
 
@@ -56,6 +57,26 @@ impl<E> NetBase<E> {
         packet.tx_start = Some(now);
         packet.tx_end = Some(now);
         self.admit(packet, now)
+    }
+
+    /// Absorbs `packet` at injection as a fault drop at `site`: a dead
+    /// resource it could never cross must not be refused, or the driver
+    /// would offer it forever. It counts as injected and dropped, and
+    /// traces `Inject` then `Drop`, the shape of any other dropped packet.
+    pub(crate) fn absorb(&mut self, packet: Packet, site: usize, reason: &'static str, now: Time) {
+        self.stats.on_inject(now);
+        self.stats.on_drop();
+        self.tracer.emit(now, || TraceEvent::Inject {
+            packet: packet.id.0,
+            src: packet.src.index(),
+            dst: packet.dst.index(),
+            bytes: packet.bytes,
+        });
+        self.tracer.emit(now, || TraceEvent::Drop {
+            packet: packet.id.0,
+            site,
+            reason,
+        });
     }
 
     /// Counts a refused injection and hands the packet back.

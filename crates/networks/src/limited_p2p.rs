@@ -203,15 +203,6 @@ impl LimitedP2pNetwork {
             .find(|&f| self.live(src, f) && self.live(f, dst))
     }
 
-    fn drop_packet(&mut self, packet: Packet, at: SiteId, now: Time) {
-        self.base.stats.on_drop();
-        self.base.tracer.emit(now, || TraceEvent::Drop {
-            packet: packet.id.0,
-            site: at.index(),
-            reason: "no-route",
-        });
-    }
-
     /// Starts the `src -> hop_dst` channel's next transmission if it is
     /// idle.
     fn pump(&mut self, src: SiteId, hop_dst: SiteId, now: Time) {
@@ -263,8 +254,13 @@ impl LimitedP2pNetwork {
         // network this is always the direct peer channel `at -> dst`, but
         // a killed link diverts through a further electronic hop.
         let Some(hop) = self.route_first_hop(at, self.base.slab.get(pref).dst) else {
-            let packet = self.base.slab.take(pref);
-            self.drop_packet(packet, at, t);
+            let id = self.base.slab.take(pref).id.0;
+            self.base.stats.on_drop();
+            self.base.tracer.emit(t, || TraceEvent::Drop {
+                packet: id,
+                site: at.index(),
+                reason: "no-route",
+            });
             return;
         };
         let packet = self.base.slab.get_mut(pref);
@@ -316,8 +312,8 @@ impl Network for LimitedP2pNetwork {
         let Some(first_hop) = self.route_first_hop(packet.src, packet.dst) else {
             // Every route is dead: absorb the packet as a fault drop so
             // the driver does not retry forever against a dead path.
-            self.base.stats.on_inject(now);
-            self.drop_packet(packet, packet.src, now);
+            let site = packet.src.index();
+            self.base.absorb(packet, site, "no-route", now);
             return Ok(());
         };
         let idx = self.channel_index(packet.src, first_hop);

@@ -463,23 +463,9 @@ impl Network for TwoPhaseNetwork {
         {
             // The arbiter masks dead requestors, channels and sinks out of
             // the round-robin: the packet is absorbed as a fault drop so
-            // nothing ever waits on a masked resource. The flight recorder
-            // still sees the admission — stats counted it as injected, so
-            // an Inject event must precede the Drop or the trace stream
-            // under-reports injections.
-            self.base.stats.on_inject(now);
-            self.base.stats.on_drop();
-            self.base.tracer.emit(now, || TraceEvent::Inject {
-                packet: packet.id.0,
-                src: packet.src.index(),
-                dst: packet.dst.index(),
-                bytes: packet.bytes,
-            });
-            self.base.tracer.emit(now, || TraceEvent::Drop {
-                packet: packet.id.0,
-                site: packet.src.index(),
-                reason: "masked",
-            });
+            // nothing ever waits on a masked resource.
+            let site = packet.src.index();
+            self.base.absorb(packet, site, "masked", now);
             return Ok(());
         }
         if self.request_queue_full(channel, src_col) {
