@@ -116,12 +116,13 @@ fn loopback_and_refusal_sweeps_match_recorded_digests() {
     assert_digests(&got, &SWEEP_DIGESTS);
 }
 
-/// A fault point's trace and metrics, through the campaign executor.
-fn run_fault(kind: NetworkKind, plan: &str) -> (String, Vec<(Time, TraceEvent)>) {
+/// A fault point's trace and metrics at `load`, through the campaign
+/// executor.
+fn run_fault(kind: NetworkKind, plan: &str, load: f64) -> (String, Vec<(Time, TraceEvent)>) {
     let point = CampaignPoint::Fault {
         kind,
         pattern: Pattern::Uniform,
-        load: 0.05,
+        load,
         plan: FaultPlan::parse(plan).expect("valid plan"),
         seed: 42,
         sim: Span::from_us(1),
@@ -170,7 +171,7 @@ fn absorbed_at_injection_fault_points_match_recorded_digests() {
             "no-route",
         ),
     ] {
-        let (json, trace) = run_fault(kind, plan);
+        let (json, trace) = run_fault(kind, plan, 0.05);
         let absorbed =
             |ev: &TraceEvent| matches!(ev, TraceEvent::Drop { reason: r, .. } if *r == reason);
         assert!(
@@ -191,4 +192,57 @@ fn absorbed_at_injection_fault_points_match_recorded_digests() {
         got.push((label.to_string(), digest(&json, trace)));
     }
     assert_digests(&got, &FAULT_DIGESTS);
+}
+
+/// Circuit-switched setups route hop by hop around killed segments. Two
+/// x-axis cuts force detours from the start, and a mid-run cut diverts
+/// setups already under way; none of them cuts a destination off. With
+/// all four segments
+/// around site 27 killed, every setup to it wanders until the hop bound
+/// abandons it with a `setup-lost` drop, while traffic between the other
+/// sites still delivers. The digests were recorded while each circuit's
+/// setup hop count lived in its table entry, before the setup message
+/// carried it.
+const CIRCUIT_FAULT_DIGESTS: [(&str, u64); 2] = [
+    ("Circuit detours", 0xbf6171c6c52f2163),
+    ("Circuit isolated site", 0x71778908820b6cd0),
+];
+
+#[test]
+fn circuit_setup_fault_points_match_recorded_digests() {
+    let mut got = Vec::new();
+    for (label, plan, lost) in [
+        (
+            CIRCUIT_FAULT_DIGESTS[0].0,
+            "link:0->1@0ns; link:9->10@0ns; link:35->36@200ns",
+            false,
+        ),
+        (
+            CIRCUIT_FAULT_DIGESTS[1].0,
+            "link:27->26@0ns; link:27->28@0ns; link:27->19@0ns; link:27->35@0ns",
+            true,
+        ),
+    ] {
+        let (json, trace) = run_fault(NetworkKind::CircuitSwitched, plan, 0.002);
+        let count =
+            |pred: &dyn Fn(&TraceEvent) -> bool| trace.iter().filter(|(_, ev)| pred(ev)).count();
+        let delivered = count(&|ev| matches!(ev, TraceEvent::Deliver { .. }));
+        let setup_lost = count(&|ev| {
+            matches!(
+                ev,
+                TraceEvent::Drop {
+                    reason: "setup-lost",
+                    ..
+                }
+            )
+        });
+        assert!(delivered > 0, "{label}: nothing delivered");
+        assert_eq!(
+            setup_lost > 0,
+            lost,
+            "{label}: {setup_lost} setup-lost drops"
+        );
+        got.push((label.to_string(), digest(&json, trace)));
+    }
+    assert_digests(&got, &CIRCUIT_FAULT_DIGESTS);
 }

@@ -51,11 +51,12 @@ fn check_bandwidth(bytes_per_ns: f64) {
 /// channel, since faults degrade single channels.
 ///
 /// The payload type `T` is what the queues carry — a slab
-/// [`PacketRef`](crate::PacketRef) or a bare circuit or packet id — while
-/// the byte count that determines serialization time travels alongside it
-/// explicitly. Every FIFO threads through one pooled node vector (see
-/// [`QueueArena`](crate::QueueArena)), so building a bank of thousands of
-/// channels makes a constant number of allocations.
+/// [`PacketRef`](crate::PacketRef), a bare packet id or a circuit's
+/// setup message — while the byte count that determines serialization
+/// time travels alongside it explicitly. Every FIFO threads through one
+/// pooled node vector (see [`QueueArena`](crate::QueueArena)), so
+/// building a bank of thousands of channels makes a constant number of
+/// allocations.
 ///
 /// # Example
 ///

@@ -18,6 +18,10 @@
 //!
 //! The control links are one [`netcore::ChannelBank`]; the per-site
 //! source and destination wait queues are two [`netcore::QueueArena`]s.
+//! A setup message carries its circuit id, destination and control-hop
+//! count through the links, so routing it one hop touches no per-circuit
+//! table: the circuit's record is read only when the destination grants
+//! it, when the ack lands and when the data finishes.
 
 use crate::base::NetBase;
 use desim::{Span, Time, TraceEvent, Tracer};
@@ -53,17 +57,23 @@ struct Circuit {
     dst: SiteId,
     packets: Vec<PacketRef>,
     hops: usize,
-    /// Control hops the setup message has actually taken, counting
-    /// fault detours; bounded to detect unroutable paths.
-    setup_hops: usize,
 }
 
 #[derive(Debug)]
 enum Ev {
     /// A control link finished serializing; start its next setup message.
     CtrlTxDone { link: usize },
-    /// A setup message reached (and was routed by) site `at`.
-    SetupArrive { circuit: u64, at: SiteId },
+    /// A setup message for `dst` reached (and was routed by) site `at`
+    /// after `hops` control hops, counting fault detours; the count is
+    /// bounded to detect unroutable paths. Site ids are `u16`, so a side
+    /// is at most 256 and the largest count carried, 6·side + 1, fits a
+    /// `u16` as well.
+    SetupArrive {
+        circuit: u64,
+        at: SiteId,
+        dst: SiteId,
+        hops: u16,
+    },
     /// The acknowledgment reached the source; data transmission starts.
     AckArrive { circuit: u64 },
     /// The last data bit reached the destination.
@@ -94,10 +104,11 @@ enum Ev {
 pub struct CircuitSwitchedNetwork {
     config: MacrochipConfig,
     /// Directed control links: 4 per site (+x, −x, +y, −y), indexed
-    /// `site * 4 + direction`. Setup messages ride them as bare circuit
-    /// ids serialized at [`SETUP_BYTES`] — all routing state lives in
-    /// [`Self::circuits`].
-    ctrl_links: ChannelBank<u64>,
+    /// `site * 4 + direction`. Setup messages ride them as
+    /// `(circuit, dst, hops)` serialized at [`SETUP_BYTES`]: the id, the
+    /// destination each switch point routes toward, and the control hops
+    /// taken once this one lands.
+    ctrl_links: ChannelBank<(u64, SiteId, u16)>,
     out_active: Vec<usize>,
     in_active: Vec<usize>,
     /// Per source site: packets waiting for a gateway slot.
@@ -261,16 +272,13 @@ impl CircuitSwitchedNetwork {
         self.src_wait.len(src) >= self.config.queue_capacity * 4
     }
 
-    /// Sends the circuit's setup message one hop onward from `from`.
-    fn forward_setup(&mut self, circuit: u64, from: SiteId, now: Time) {
-        let Some(c) = self.circuits.get(&circuit) else {
-            return; // abandoned by a fault while the setup was in flight
-        };
-        let dst = c.dst;
+    /// Sends the circuit's setup message one hop onward from `from`
+    /// toward `dst`, `hops` control hops into its path.
+    fn forward_setup(&mut self, circuit: u64, from: SiteId, dst: SiteId, hops: u16, now: Time) {
         let dir = self.next_dir(from, dst);
         let link = self.link_index(from, dir);
         self.ctrl_links
-            .try_enqueue(link, circuit, SETUP_BYTES)
+            .try_enqueue(link, (circuit, dst, hops + 1), SETUP_BYTES)
             .expect("control queues are effectively unbounded");
         self.pump_ctrl(link, now);
     }
@@ -278,12 +286,17 @@ impl CircuitSwitchedNetwork {
     fn pump_ctrl(&mut self, link: usize, now: Time) {
         let site = SiteId::from_index(link / 4);
         let dir = link % 4;
-        if let Some((circuit, finish)) = self.ctrl_links.begin_if_ready(link, now) {
-            let next = self.neighbor(site, dir);
+        if let Some(((circuit, dst, hops), finish)) = self.ctrl_links.begin_if_ready(link, now) {
+            let at = self.neighbor(site, dir);
             self.base.events.push(finish, Ev::CtrlTxDone { link });
             self.base.events.push(
                 finish + self.hop_overhead(),
-                Ev::SetupArrive { circuit, at: next },
+                Ev::SetupArrive {
+                    circuit,
+                    at,
+                    dst,
+                    hops,
+                },
             );
         }
     }
@@ -331,23 +344,20 @@ impl CircuitSwitchedNetwork {
                     dst,
                     packets,
                     hops,
-                    setup_hops: 0,
                 },
             );
             self.out_active[src.index()] += 1;
-            self.forward_setup(id, src, now);
+            self.forward_setup(id, src, dst, 0, now);
         }
     }
 
-    fn on_setup_arrive(&mut self, circuit: u64, at: SiteId, now: Time) {
-        let Some(c) = self.circuits.get_mut(&circuit) else {
-            return; // abandoned by a fault while the setup was in flight
-        };
-        let dst = c.dst;
-        c.setup_hops += 1;
+    fn on_setup_arrive(&mut self, circuit: u64, at: SiteId, dst: SiteId, hops: u16, now: Time) {
+        // Only a circuit's own lost setup removes it before its data is
+        // done, so the circuit outlives every hop of its setup.
+        debug_assert!(self.circuits.contains_key(&circuit));
         // A setup wandering far beyond any healthy path means the fault
         // pattern has cut the destination off: abandon the circuit.
-        let lost = at != dst && c.setup_hops > 6 * self.config.grid.side();
+        let lost = at != dst && usize::from(hops) > 6 * self.config.grid.side();
         if lost {
             self.abandon_circuit(circuit, at, now);
             return;
@@ -363,16 +373,17 @@ impl CircuitSwitchedNetwork {
                 packet: circuit,
                 at: at.index(),
             });
-            self.forward_setup(circuit, at, now);
+            self.forward_setup(circuit, at, dst, hops, now);
         }
     }
 
     /// Abandons a circuit whose setup cannot reach the destination,
     /// dropping its packets and freeing the source gateway slot.
     fn abandon_circuit(&mut self, circuit: u64, at: SiteId, now: Time) {
-        let Some(c) = self.circuits.remove(&circuit) else {
-            return;
-        };
+        let c = self
+            .circuits
+            .remove(&circuit)
+            .expect("a setup in flight has its circuit");
         for pref in c.packets {
             let p = self.base.slab.take(pref);
             self.base.stats.on_drop();
@@ -392,18 +403,14 @@ impl CircuitSwitchedNetwork {
 
     /// Destination accepts the circuit; the ack flies back to the source.
     fn grant(&mut self, circuit: u64, now: Time) {
-        let Some(c) = self.circuits.get(&circuit) else {
-            return;
-        };
+        let c = &self.circuits[&circuit];
         self.in_active[c.dst.index()] += 1;
         let ack = self.ack_traverse(c.hops);
         self.base.events.push(now + ack, Ev::AckArrive { circuit });
     }
 
     fn on_ack(&mut self, circuit: u64, now: Time) {
-        let Some(c) = self.circuits.get(&circuit) else {
-            return; // abandoned by a fault before the ack came back
-        };
+        let c = &self.circuits[&circuit];
         let bytes: u32 = c.packets.iter().map(|&p| self.base.slab.get(p).bytes).sum();
         let ser = {
             let (memo_bytes, memo_span) = self.data_ser_memo.get();
@@ -434,9 +441,10 @@ impl CircuitSwitchedNetwork {
     }
 
     fn on_data_done(&mut self, circuit: u64, now: Time) {
-        let Some(c) = self.circuits.remove(&circuit) else {
-            return; // abandoned by a fault
-        };
+        let c = self
+            .circuits
+            .remove(&circuit)
+            .expect("a granted circuit lives until its data is done");
         // u64: a long-lived circuit must never truncate its carried-packet
         // count — the auditor pairs this against per-packet deliveries.
         let carried = c.packets.len() as u64;
@@ -507,7 +515,12 @@ impl Network for CircuitSwitchedNetwork {
         while let Some((t, ev)) = self.base.events.pop_due(now) {
             match ev {
                 Ev::CtrlTxDone { link } => self.pump_ctrl(link, t),
-                Ev::SetupArrive { circuit, at } => self.on_setup_arrive(circuit, at, t),
+                Ev::SetupArrive {
+                    circuit,
+                    at,
+                    dst,
+                    hops,
+                } => self.on_setup_arrive(circuit, at, dst, hops, t),
                 Ev::AckArrive { circuit } => self.on_ack(circuit, t),
                 Ev::DataDone { circuit } => self.on_data_done(circuit, t),
                 Ev::Deliver { packet } => self.base.deliver(packet, t),
@@ -589,7 +602,10 @@ impl Network for CircuitSwitchedNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desim::trace::RingSink;
     use netcore::{MessageKind, PacketId};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn net() -> CircuitSwitchedNetwork {
         CircuitSwitchedNetwork::new(MacrochipConfig::scaled())
@@ -782,11 +798,30 @@ mod tests {
                 Time::ZERO,
             );
         }
+        let sink = Rc::new(RefCell::new(RingSink::new(1024)));
+        n.set_tracer(Tracer::shared(&sink));
         n.inject(data(0, g.site(0, 0), dst, Time::ZERO), Time::ZERO)
             .unwrap();
         run_until_idle(&mut n);
         assert!(n.drain_delivered().is_empty());
         assert_eq!(n.stats().dropped_packets(), 1);
+        // The setup is abandoned on its first arrival past 6 x side = 48
+        // control hops, at the instant the model recorded when the hop
+        // count still lived in the circuit table.
+        let drops: Vec<(Time, usize)> = sink
+            .borrow()
+            .snapshot()
+            .into_iter()
+            .filter_map(|(t, ev)| match ev {
+                TraceEvent::Drop {
+                    site,
+                    reason: "setup-lost",
+                    ..
+                } => Some((t, site)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(drops, [(Time::from_ps(737_450), 28)]);
         // The gateway slot came back, so later circuits still start.
         assert_eq!(n.out_active[g.site(0, 0).index()], 0);
     }

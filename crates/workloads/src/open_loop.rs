@@ -6,9 +6,7 @@
 
 use crate::patterns::{DestinationGen, Pattern};
 use desim::{SimRng, Span, Time};
-use netcore::{Grid, MessageKind, Packet, PacketId, PacketSource};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use netcore::{Grid, MessageKind, Packet, PacketId, PacketSource, SiteId};
 
 /// An open-loop Poisson packet source following a synthetic pattern.
 ///
@@ -27,17 +25,14 @@ pub struct OpenLoopTraffic {
     grid: Grid,
     dest: DestinationGen,
     rng: SimRng,
-    /// Next injection instant per site; `Time::MAX` = finished.
-    next_at: Vec<Time>,
-    /// Min-heap over the still-active sites' next emission instants,
-    /// mirroring `next_at`: finding and re-keying the due site is
-    /// O(log sites) per packet instead of a full scan per call.
-    pending: BinaryHeap<Reverse<(Time, usize)>>,
+    /// Min-heap over the still-active sites' next emission instants; a
+    /// finished site leaves it. Its root answers the driver's
+    /// per-iteration [`next_emission`](PacketSource::next_emission)
+    /// probe, and finding and re-keying the due site is O(log sites) per
+    /// packet instead of a full scan per call.
+    pending: SiteHeap,
     /// Scratch for the sites due in one `emit_due` call.
     due: Vec<(Time, usize)>,
-    /// Cached minimum of `next_at`, so the driver's per-iteration
-    /// [`next_emission`](PacketSource::next_emission) probe is O(1).
-    next_min: Time,
     mean_gap: Span,
     bytes: u32,
     next_id: u64,
@@ -74,24 +69,15 @@ impl OpenLoopTraffic {
         let mean_gap = Span::from_ns_f64(bytes as f64 / rate).max(Span::from_ps(1));
         let mut rng = SimRng::new(seed);
         // Desynchronize sites from the start.
-        let next_at: Vec<Time> = (0..grid.sites())
-            .map(|_| Time::ZERO + rng.exp_span(mean_gap))
-            .collect();
-        let next_min = next_at.iter().copied().min().unwrap_or(Time::MAX);
-        let pending = next_at
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t < Time::MAX)
-            .map(|(site, &t)| Reverse((t, site)))
-            .collect();
+        let pending = SiteHeap::new(
+            (0..grid.sites()).map(|site| (Time::ZERO + rng.exp_span(mean_gap), site)),
+        );
         OpenLoopTraffic {
             grid: *grid,
             dest: DestinationGen::new(pattern, grid),
             rng,
-            next_at,
             pending,
             due: Vec::new(),
-            next_min,
             mean_gap,
             bytes,
             next_id: 0,
@@ -104,19 +90,7 @@ impl OpenLoopTraffic {
     /// still drains).
     pub fn set_horizon(&mut self, deadline: Time) {
         self.horizon = deadline;
-        for t in &mut self.next_at {
-            if *t >= deadline {
-                *t = Time::MAX;
-            }
-        }
-        self.pending = self
-            .next_at
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t < Time::MAX)
-            .map(|(site, &t)| Reverse((t, site)))
-            .collect();
-        self.next_min = self.next_at.iter().copied().min().unwrap_or(Time::MAX);
+        self.pending.retain_before(deadline);
     }
 
     /// Packets created so far.
@@ -128,74 +102,200 @@ impl OpenLoopTraffic {
     pub fn mean_gap(&self) -> Span {
         self.mean_gap
     }
+
+    /// Emits every packet `site` creates from its due instant `at` up to
+    /// `now` and returns its next instant: after `now`, or `Time::MAX`
+    /// once the horizon is reached.
+    fn emit_site(&mut self, site: usize, mut at: Time, now: Time, out: &mut Vec<Packet>) -> Time {
+        let src = SiteId::from_index(site);
+        loop {
+            let dst = self.dest.next(src, &self.grid, &mut self.rng);
+            out.push(Packet::new(
+                PacketId(self.next_id),
+                src,
+                dst,
+                self.bytes,
+                MessageKind::Data,
+                at,
+            ));
+            self.next_id += 1;
+            self.emitted += 1;
+            let next = at + self.rng.exp_span(self.mean_gap);
+            let next = if next >= self.horizon {
+                Time::MAX
+            } else {
+                next
+            };
+            if next > now {
+                return next;
+            }
+            at = next;
+        }
+    }
+}
+
+/// A binary min-heap over `(instant, site)`, stored level by level in one
+/// vector. Unlike `std::collections::BinaryHeap` it exposes the root's
+/// children, so [`OpenLoopTraffic::emit_due`] can tell that only the root
+/// is due, and it re-keys the root with one sift instead of a pop and a
+/// push. Sites are unique, so the order is total and the root depends only
+/// on the heap's contents, never on how they were inserted.
+struct SiteHeap {
+    /// Each entry packed as `instant_ps << 64 | site`, so one integer
+    /// comparison orders entries by instant, then site.
+    slots: Vec<u128>,
+}
+
+fn pack((t, site): (Time, usize)) -> u128 {
+    (u128::from(t.as_ps()) << 64) | site as u128
+}
+
+fn unpack(key: u128) -> (Time, usize) {
+    // The low half holds a site index, which fits a `usize`.
+    (Time::from_ps((key >> 64) as u64), key as u64 as usize)
+}
+
+impl SiteHeap {
+    /// The heap of `entries`, one per site.
+    fn new(entries: impl IntoIterator<Item = (Time, usize)>) -> SiteHeap {
+        let mut heap = SiteHeap {
+            slots: entries.into_iter().map(pack).collect(),
+        };
+        for i in (0..heap.slots.len() / 2).rev() {
+            heap.sift_down(i);
+        }
+        heap
+    }
+
+    /// Drops every entry at or after `deadline`.
+    fn retain_before(&mut self, deadline: Time) {
+        let slots = std::mem::take(&mut self.slots);
+        *self = SiteHeap::new(slots.into_iter().map(unpack).filter(|&(t, _)| t < deadline));
+    }
+
+    /// The earliest entry, or `None` when empty.
+    fn root(&self) -> Option<(Time, usize)> {
+        self.slots.first().map(|&key| unpack(key))
+    }
+
+    /// The earliest entry if it is due at `now`.
+    fn root_due(&self, now: Time) -> Option<(Time, usize)> {
+        self.root().filter(|&(t, _)| t <= now)
+    }
+
+    /// True when an entry besides the root is due at `now`: by the heap
+    /// order, only one of the root's children can be the next earliest.
+    fn second_due(&self, now: Time) -> bool {
+        self.slots
+            .iter()
+            .skip(1)
+            .take(2)
+            .any(|&key| unpack(key).0 <= now)
+    }
+
+    fn push(&mut self, entry: (Time, usize)) {
+        self.slots.push(pack(entry));
+        self.sift_up(self.slots.len() - 1, 0);
+    }
+
+    /// Removes the earliest entry. Panics when empty.
+    fn pop_root(&mut self) {
+        let last = self.slots.pop().expect("pop from an empty heap");
+        if !self.slots.is_empty() {
+            self.slots[0] = last;
+            self.sift_down(0);
+        }
+    }
+
+    /// Replaces the earliest entry with `entry` and restores the order.
+    fn replace_root(&mut self, entry: (Time, usize)) {
+        self.slots[0] = pack(entry);
+        self.sift_down(0);
+    }
+
+    /// Restores the order below `top` for the entry there. The hole walks
+    /// down to a leaf along the smaller children, one comparison per
+    /// level, and the entry then sifts up, never above `top`: a re-keyed
+    /// site usually lands near the bottom, so this compares less than
+    /// testing the entry at every level on the way down.
+    fn sift_down(&mut self, top: usize) {
+        let key = self.slots[top];
+        let len = self.slots.len();
+        let mut hole = top;
+        let mut child = 2 * top + 1;
+        while child + 1 < len {
+            child += usize::from(self.slots[child + 1] < self.slots[child]);
+            self.slots[hole] = self.slots[child];
+            hole = child;
+            child = 2 * hole + 1;
+        }
+        if child < len {
+            self.slots[hole] = self.slots[child];
+            hole = child;
+        }
+        self.slots[hole] = key;
+        self.sift_up(hole, top);
+    }
+
+    /// Moves the entry at `hole` up while it is earlier than its parent,
+    /// no higher than `top`.
+    fn sift_up(&mut self, mut hole: usize, top: usize) {
+        let key = self.slots[hole];
+        while hole > top {
+            let parent = (hole - 1) / 2;
+            if self.slots[parent] <= key {
+                break;
+            }
+            self.slots[hole] = self.slots[parent];
+            hole = parent;
+        }
+        self.slots[hole] = key;
+    }
 }
 
 impl PacketSource for OpenLoopTraffic {
     fn next_emission(&self) -> Option<Time> {
-        Some(self.next_min).filter(|&t| t < Time::MAX)
+        self.pending.root().map(|(t, _)| t)
     }
 
     fn emit_due(&mut self, now: Time, out: &mut Vec<Packet>) {
-        if self.next_min > now {
+        let Some((t, site)) = self.pending.root_due(now) else {
             return;
-        }
-        // Pop every due site off the heap, then visit them in ascending
-        // site order, draining each site's due instants before moving on —
-        // the exact emission order of a full `0..sites` scan, which the
-        // RNG stream (and so every downstream result) depends on.
-        let mut due = std::mem::take(&mut self.due);
-        due.clear();
-        while let Some(&Reverse((t, site))) = self.pending.peek() {
-            if t > now {
-                break;
-            }
-            self.pending.pop();
-            due.push((t, site));
-        }
-        due.sort_unstable_by_key(|&(_, site)| site);
-        for &(t, site) in &due {
-            let mut at = t;
-            loop {
-                let src = netcore::SiteId::from_index(site);
-                let dst = self.dest.next(src, &self.grid, &mut self.rng);
-                out.push(Packet::new(
-                    PacketId(self.next_id),
-                    src,
-                    dst,
-                    self.bytes,
-                    MessageKind::Data,
-                    at,
-                ));
-                self.next_id += 1;
-                self.emitted += 1;
-                let next = at + self.rng.exp_span(self.mean_gap);
-                let next = if next >= self.horizon {
-                    Time::MAX
-                } else {
-                    next
-                };
-                if next <= now {
-                    at = next;
-                    continue;
-                }
-                self.next_at[site] = next;
-                if next < Time::MAX {
-                    self.pending.push(Reverse((next, site)));
-                }
-                break;
-            }
-        }
-        self.due = due;
-        self.next_min = match self.pending.peek() {
-            Some(&Reverse((t, _))) => t,
-            None => Time::MAX,
         };
+        if !self.pending.second_due(now) {
+            // Only the earliest site is due (the common case): emit it and
+            // re-key it in place with one sift.
+            match self.emit_site(site, t, now, out) {
+                Time::MAX => self.pending.pop_root(),
+                next => self.pending.replace_root((next, site)),
+            }
+        } else {
+            // Pop every due site off the heap, then visit them in
+            // ascending site order, draining each site's due instants
+            // before moving on — the exact emission order of a full
+            // `0..sites` scan, which the RNG stream (and so every
+            // downstream result) depends on.
+            let mut due = std::mem::take(&mut self.due);
+            due.clear();
+            while let Some(entry) = self.pending.root_due(now) {
+                due.push(entry);
+                self.pending.pop_root();
+            }
+            due.sort_unstable_by_key(|&(_, site)| site);
+            for &(t, site) in &due {
+                let next = self.emit_site(site, t, now, out);
+                if next < Time::MAX {
+                    self.pending.push((next, site));
+                }
+            }
+            self.due = due;
+        }
     }
 
     fn on_delivered(&mut self, _packet: &Packet, _now: Time) {}
 
     fn is_exhausted(&self) -> bool {
-        self.next_min == Time::MAX
+        self.pending.root().is_none()
     }
 
     /// The emission schedule is fixed at construction; deliveries change
