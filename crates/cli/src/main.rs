@@ -16,19 +16,19 @@
 //! macrochip figures   [--only fig7_speedup,fig10_edp] [--ops 10] [--jobs 2]
 //! ```
 //!
-//! Argument parsing is deliberately dependency-free. The four campaign
-//! commands (sweep, faults, run-all, replay) differ only in their flags,
-//! their point lists and their manifests: [`run_campaign`] runs and files
-//! their points, and [`write_outputs`] writes what every measuring command
-//! exports. `figures` runs the coherent grid of Figures 7-10 through the
-//! same driver.
+//! Argument parsing is deliberately dependency-free. The five campaign
+//! commands (sweep, coherent, faults, run-all, replay) differ only in
+//! their flags, their point lists and their manifests: [`run_campaign`]
+//! runs and files their points, and [`write_outputs`] writes what every
+//! measuring command exports. `figures` runs the coherent grid of Figures
+//! 7-10 through the same driver.
 
 use coherence::EngineConfig;
 use desim::prof;
 use desim::trace::{chrome_trace_json, RingSink};
 use desim::{Span, Time, TraceEvent, Tracer};
 use macrochip::campaign::{self, CampaignPoint, PointExecOptions, PointResult};
-use macrochip::experiment::run_coherent_observed;
+use macrochip::experiment::drive_coherent;
 use macrochip::figures::{self, Figure, FigureContext, FIGURES};
 use macrochip::names;
 use macrochip::prelude::*;
@@ -56,6 +56,7 @@ USAGE:
                         [--chips <M>]
     macrochip sustained --network <NET|all> --pattern <PAT>
     macrochip coherent  --workload <NAME> --network <NET|all> [--ops <N>]
+                        [--jobs <N>] [--no-cache]
     macrochip mp        --collective <COLL> [--bytes <B>] [--rounds <R>]
     macrochip faults    --network <NET|all> [--pattern <PAT>] [--load <F>]
                         [--faults <SPEC>] [--seed <N>] [--duration-short]
@@ -116,13 +117,13 @@ FAULT SPEC (clauses joined with ';'):
     repair=SPAN     retries=N     backoff=SPAN   no-recovery
 
 OUTPUT (each flag names the commands that take it):
-    --trace <FILE>     (sweep, sustained, faults, run-all; replay calls it
-                       --trace-out, as its --trace is the input) write a
-                       Chrome-trace-event JSON flight recording (open in
-                       ui.perfetto.dev or chrome://tracing)
-    --metrics <FILE>   (sweep, sustained, faults, run-all, replay) write
-                       metrics and a run manifest; JSON, or CSV when the
-                       file name ends in .csv
+    --trace <FILE>     (sweep, sustained, coherent, faults, run-all; replay
+                       calls it --trace-out, as its --trace is the input)
+                       write a Chrome-trace-event JSON flight recording
+                       (open in ui.perfetto.dev or chrome://tracing)
+    --metrics <FILE>   (sweep, sustained, coherent, faults, run-all,
+                       replay) write metrics and a run manifest; JSON, or
+                       CSV when the file name ends in .csv
     --audit            (sweep, faults, run-all, coherent, replay) run the
                        invariant auditor over every point: packet
                        conservation, causality and physical latency
@@ -136,11 +137,11 @@ OUTPUT (each flag names the commands that take it):
     -v, --verbose      (every --metrics command, and figures) print one
                        stderr line per point, prefixed with the command
                        name
-    --progress         (sweep, faults, run-all, replay, figures) stream
-                       a live status line to stderr every 500 ms (points
-                       done, furthest sim time, events, events/sec, ETA)
-                       read from the always-on host counters; never
-                       perturbs results
+    --progress         (sweep, coherent, faults, run-all, replay, figures)
+                       stream a live status line to stderr every 500 ms
+                       (points done, furthest sim time, events,
+                       events/sec, ETA) read from the always-on host
+                       counters; never perturbs results
     --host-metrics     append a host.* metrics family (wall-clock,
                        events/sec, peak RSS, profiler span table) to the
                        --metrics output. Host figures are wall-clock
@@ -153,7 +154,8 @@ OUTPUT (each flag names the commands that take it):
                        stderr last. Simulation results are byte-identical
                        either way
 
-PARALLELISM (sweep, faults, run-all, replay, figures — campaign engine):
+PARALLELISM (sweep, coherent, faults, run-all, replay, figures — campaign
+engine):
     --jobs <N>         shard independent points across N worker threads
                        (default 1 = serial; 0 = one per hardware thread).
                        Output is byte-identical for every N.
@@ -171,8 +173,9 @@ TRACES (capture, replay — the cross-network comparison harness):
     regenerates the directory's MANIFEST.json corpus index. replay streams
     a trace back through any network (optionally under a fault plan), so
     every architecture is judged on identical traffic; a same-network
-    replay reproduces the live run's stats byte-for-byte. --stats writes
-    the net.*-family metrics snapshot both sides use for that comparison.
+    replay reproduces the live run's stats byte-for-byte (for a coherent
+    capture, only where no injection stalled). --stats writes the
+    net.*-family metrics snapshot both sides use for that comparison.
     KINDS for --keep-kind: data, request, forward, invalidate, ack, control
 
 FIGURES (the paper's tables and figures, then the studies beyond it):
@@ -290,8 +293,8 @@ impl AuditLog {
     }
 }
 
-/// Campaign-engine controls shared by `sweep`, `faults`, `run-all`,
-/// `replay` and `figures`.
+/// Campaign-engine controls shared by `sweep`, `coherent`, `faults`,
+/// `run-all`, `replay` and `figures`.
 struct JobOpts {
     /// Worker threads; `0` auto-detects, `1` (the default) is serial.
     jobs: usize,
@@ -357,8 +360,8 @@ struct CampaignRun {
     points: usize,
 }
 
-/// The one campaign driver behind sweep, faults, run-all, replay and the
-/// coherent grid of figures. Runs `points` on `--jobs` workers through the
+/// The one campaign driver behind sweep, coherent, faults, run-all,
+/// replay and the coherent grid of figures. Runs `points` on `--jobs` workers through the
 /// result cache, with live progress, then files each point in order: its
 /// row in the table for its result type (or its run, for coherent points),
 /// its audit report, trace section, metrics record and `-v` line, each
@@ -913,55 +916,38 @@ fn cmd_sustained(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs each network's closed-loop point serially and uncached through
-/// the campaign executor, audited under `--audit`.
+/// Runs one closed-loop point per network through the campaign driver.
 fn cmd_coherent(args: &[String]) -> Result<(), String> {
     reject_chips(args, "coherent")?;
-    reject_unsupported(
-        args,
-        "coherent",
-        &[
-            "--metrics",
-            "--trace",
-            "-v",
-            "--verbose",
-            "--progress",
-            "--host-metrics",
-        ],
-    )?;
     let config = config_from_args(args)?;
     let name = flag(args, "--workload").ok_or("missing --workload")?;
     let spec = workload_from_args(&name, args, &config)?;
-    let (_, kinds) = named_arg(args, "network", None, names::parse_networks)?;
+    let (network_arg, kinds) = named_arg(args, "network", None, names::parse_networks)?;
     let out = OutputOpts::parse(args, "--trace");
-    let exec = PointExecOptions {
-        audit: out.audit,
-        ..PointExecOptions::default()
-    };
-    let chip = FabricConfig::single(config);
-    let model = NetworkEnergyModel::new(config.layout);
-    let mut table = report::coherent_table();
-    let mut audit_log = AuditLog::new(out.audit);
-    for kind in kinds {
-        let point = CampaignPoint::Coherent {
+    let jobs = JobOpts::parse(args)?;
+    const SEED: u64 = 0xCAFE;
+    let points: Vec<CampaignPoint> = kinds
+        .iter()
+        .map(|&kind| CampaignPoint::Coherent {
             kind,
             spec: spec.clone(),
-            seed: 0xCAFE,
-        };
-        let cell = campaign::run_point_full(&point, &chip, exec);
-        audit_log.absorb(
-            &format!("{} {}", kind.name(), spec.name()),
-            cell.audit.as_ref(),
-        );
-        let PointResult::Coherent(run) = cell.result else {
-            unreachable!("coherent point produced a non-coherent result");
-        };
-        report::coherent_row(&mut table, &model, &run);
+            seed: SEED,
+        })
+        .collect();
+    let chip = FabricConfig::single(config);
+    let run = run_campaign("coherent", &points, &chip, out.exec(), &jobs, &out)?;
+    let mut manifest = RunManifest::new("coherent", &config);
+    manifest.network = network_arg;
+    manifest.pattern = spec.name();
+    manifest.seed = SEED;
+    manifest.set_limits(DriveLimits::closed_loop());
+    let model = NetworkEnergyModel::new(config.layout);
+    let mut table = report::coherent_table();
+    for r in &run.coherent {
+        report::coherent_row(&mut table, &model, r);
     }
-    if !out.quiet {
-        println!("Workload: {}\n\n{}", spec.name(), table.to_text());
-    }
-    audit_log.finish(out.quiet)
+    let text = format!("Workload: {}\n\n{}", spec.name(), table.to_text());
+    run.finish(&out, manifest, &text)
 }
 
 fn cmd_mp(args: &[String]) -> Result<(), String> {
@@ -981,14 +967,7 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
     for kind in NetworkKind::ALL {
         let mut net = networks::build(kind, config);
         let mut w = MessagePassingWorkload::new(&config.grid, collective, bytes, rounds);
-        let outcome = drive(
-            net.as_mut(),
-            &mut w,
-            DriveLimits {
-                deadline: Time::from_us(1_000_000),
-                max_stalled: usize::MAX,
-            },
-        );
+        let outcome = drive(net.as_mut(), &mut w, DriveLimits::closed_loop());
         if outcome.timed_out {
             return Err(format!("{} timed out", kind.name()));
         }
@@ -1155,15 +1134,8 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
     let out = OutputOpts::parse(args, "--trace");
     let grid_side = config.grid.side() as u16;
 
-    let (header, live_stats, pattern_label, limits, outcome);
+    let (header, net, pattern_label, limits, outcome);
     if let Some(name) = flag(args, "--workload") {
-        if stats_path.is_some() {
-            return Err(
-                "--stats needs an open-loop capture (--pattern); the coherent harness owns \
-                 its network"
-                    .into(),
-            );
-        }
         let spec = workload_from_args(&name, args, &config)?;
         let meta = TraceMeta {
             grid_side,
@@ -1172,13 +1144,20 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         };
         let mut sink = CaptureSink::create_file(&out_path, &meta)
             .map_err(|e| format!("creating {out_path}: {e}"))?;
-        let run = run_coherent_observed(kind, &spec, &config, EngineConfig::default(), seed, |p| {
-            sink.record(p)
-        });
+        let mut live = networks::build(kind, config);
+        let (run, _) = drive_coherent(
+            live.as_mut(),
+            &spec,
+            EngineConfig::default(),
+            seed,
+            Tracer::disabled(),
+            |p| sink.record(p),
+            false,
+        );
         header = sink
             .finish()
             .map_err(|e| format!("capturing into {out_path}: {e}"))?;
-        live_stats = None;
+        net = live;
         pattern_label = spec.name();
         limits = None;
         outcome = format!(
@@ -1204,7 +1183,7 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         };
         let mut sink = CaptureSink::create_file(&out_path, &meta)
             .map_err(|e| format!("creating {out_path}: {e}"))?;
-        let (point, net) = run_load_point_observed(
+        let (point, live) = run_load_point_observed(
             networks::build(kind, config),
             pattern,
             load,
@@ -1216,9 +1195,7 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         header = sink
             .finish()
             .map_err(|e| format!("capturing into {out_path}: {e}"))?;
-        let mut reg = MetricsRegistry::new();
-        reg.record_net_stats(net.stats());
-        live_stats = Some(reg.snapshot());
+        net = live;
         pattern_label = pattern_arg;
         limits = Some(DriveLimits::for_window(
             options.sim,
@@ -1253,8 +1230,9 @@ fn cmd_capture(args: &[String]) -> Result<(), String> {
         .and_then(|m| m.write_index(dir))
         .map_err(|e| format!("indexing {}: {e}", dir.display()))?;
     if let Some(path) = &stats_path {
-        let snap = live_stats.expect("open-loop capture has live stats");
-        write_stats(path, &[(kind.name().to_string(), snap)])?;
+        let mut reg = MetricsRegistry::new();
+        reg.record_net_stats(net.stats());
+        write_stats(path, &[(kind.name().to_string(), reg.snapshot())])?;
     }
     if !out.quiet {
         println!(
@@ -1810,29 +1788,10 @@ mod tests {
         let dir = scratch_dir("ignored-flags");
         let file = |name: &str| dir.join(name).display().to_string();
         type Cmd = fn(&[String]) -> Result<(), String>;
-        let coherent = "coherent --workload Swaptions --network p2p -q";
         let figures = format!("figures --only table1 -q --out {}", file("figs"));
         for (cmd, line, flag) in [
             (
-                cmd_coherent as Cmd,
-                format!("{coherent} --metrics {}", file("coh.json")),
-                "--metrics",
-            ),
-            (
-                cmd_coherent,
-                format!("{coherent} --trace {}", file("coh.trace")),
-                "--trace",
-            ),
-            (cmd_coherent, format!("{coherent} -v"), "-v"),
-            (cmd_coherent, format!("{coherent} --verbose"), "--verbose"),
-            (cmd_coherent, format!("{coherent} --progress"), "--progress"),
-            (
-                cmd_coherent,
-                format!("{coherent} --host-metrics"),
-                "--host-metrics",
-            ),
-            (
-                cmd_sustained,
+                cmd_sustained as Cmd,
                 "sustained --network p2p --pattern uniform --audit -q".to_string(),
                 "--audit",
             ),
@@ -1867,6 +1826,27 @@ mod tests {
         }
         let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert!(written.is_empty(), "a refused command writes nothing");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn coherent_exports_one_metrics_record_per_network() {
+        let dir = scratch_dir("coherent-metrics");
+        let metrics = dir.join("coh.json");
+        let line = format!(
+            "coherent --workload transpose --ops 2 --side 4 --network all -q --metrics {}",
+            metrics.display()
+        );
+        cmd_coherent(&args(&line)).unwrap();
+        let runs = metrics_runs(&metrics);
+        assert_eq!(runs.len(), macrochip::prelude::NetworkKind::ALL.len());
+        for (record, kind) in runs.iter().zip(macrochip::prelude::NetworkKind::ALL) {
+            assert!(
+                record.starts_with(&format!("\"{}\"", kind.name())),
+                "{record}"
+            );
+            assert!(record.contains("\"net.delivered\""), "{record}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,9 +7,8 @@
 //! architecture's own (equally buggy) counters.
 //!
 //! Every other audited run (`--audit` on sweep, faults, run-all, replay
-//! and coherent) goes through [`crate::campaign::run_point_full`] or
-//! [`crate::experiment::run_coherent_audited`]; like the oracle, each one
-//! closes its audit through [`Auditor::close`].
+//! and coherent) goes through [`crate::campaign::run_point_full`]; like
+//! the oracle, each one closes its audit through [`Auditor::close`].
 
 use crate::replay_run::{run_replay, ReplayOptions, ReplaySummary};
 use desim::{Span, Time, Tracer};

@@ -28,14 +28,14 @@
 //! `jobs` value, with a cold or warm cache. The differential and property
 //! tests in `tests/` enforce this.
 
-use crate::experiment::{run_coherent, run_coherent_audited, CoherentRun, WorkloadSpec};
+use crate::experiment::{drive_coherent, CoherentRun, WorkloadSpec};
 use crate::replay_run::{run_replay, run_replay_faulted, ReplayOptions, ReplaySummary};
 use crate::runner::{drive_traced, DriveLimits};
 use crate::sweep::{run_load_point_traced, LoadPoint, SweepOptions};
 use desim::trace::{RingSink, TeeSink};
 use desim::{Span, Time, TraceEvent, Tracer};
 use faults::{FaultPlan, ResilientNetwork};
-use netcore::audit::{AuditReport, Auditor};
+use netcore::audit::{AuditReport, AuditViolation, Auditor};
 use netcore::{
     FabricConfig, MacrochipConfig, MetricsRegistry, MetricsSnapshot, Network, NetworkKind,
 };
@@ -642,11 +642,9 @@ pub fn run_point(point: &CampaignPoint, config: &MacrochipConfig) -> PointResult
 /// and its audit adds the `fabric.inter-chip-bytes` reconciliation. Every
 /// audited point closes through [`Auditor::close`].
 ///
-/// Tracing and metrics are unsupported for [`CampaignPoint::Coherent`]
-/// points (the coherent harness owns its network internally); their side
-/// channels come back empty. Auditing **is** supported for coherent
-/// points — it routes through [`run_coherent_audited`], which also checks
-/// the coherence engine's structural invariants.
+/// An audited coherent point also checks the coherence engine's
+/// structural invariants after the drain, and its report carries their
+/// findings after the network's.
 ///
 /// # Panics
 ///
@@ -672,8 +670,8 @@ pub fn run_point_full(
     }
     let config = fabric.global_config();
     let sink = Rc::new(RefCell::new(RingSink::new(exec.trace_capacity.max(1))));
-    // Coherent points build their auditor inside run_coherent_audited.
-    let auditor = (exec.audit && !matches!(point, CampaignPoint::Coherent { .. }))
+    let auditor = exec
+        .audit
         .then(|| Rc::new(RefCell::new(Auditor::new_fabric(point.kind(), fabric))));
     let tracer = match (&auditor, exec.trace) {
         (Some(a), true) => {
@@ -686,23 +684,30 @@ pub fn run_point_full(
         (None, true) => Tracer::shared(&sink),
         (None, false) => Tracer::disabled(),
     };
-    // Closes the audit of a driven network and snapshots its metrics:
-    // `record` writes the point's own families, then the audit.* family.
-    let finish =
-        |net: &dyn Network, fault_drops: u64, end: Time, record: &dyn Fn(&mut MetricsRegistry)| {
-            let audit = auditor
-                .as_ref()
-                .map(|a| a.borrow_mut().close(net, fault_drops, end));
-            let metrics = exec.metrics.then(|| {
-                let mut reg = MetricsRegistry::new();
-                record(&mut reg);
-                if let Some(report) = &audit {
-                    report.record_metrics(&mut reg);
-                }
-                reg.snapshot()
-            });
-            (metrics, audit)
-        };
+    // Closes the audit of a driven network, appending the `engine`
+    // layer's findings, and snapshots its metrics: `record` writes the
+    // point's own families, then the audit.* family.
+    let finish = |net: &dyn Network,
+                  fault_drops: u64,
+                  end: Time,
+                  mut engine: Vec<AuditViolation>,
+                  record: &dyn Fn(&mut MetricsRegistry)| {
+        let audit = auditor.as_ref().map(|a| {
+            let mut report = a.borrow_mut().close(net, fault_drops, end);
+            report.total_violations += engine.len() as u64;
+            report.violations.append(&mut engine);
+            report
+        });
+        let metrics = exec.metrics.then(|| {
+            let mut reg = MetricsRegistry::new();
+            record(&mut reg);
+            if let Some(report) = &audit {
+                report.record_metrics(&mut reg);
+            }
+            reg.snapshot()
+        });
+        (metrics, audit)
+    };
     let (result, metrics, audit) = match point {
         CampaignPoint::Sweep {
             kind,
@@ -719,7 +724,7 @@ pub fn run_point_full(
                 tracer,
             );
             let end = Time::ZERO + options.sim + options.drain;
-            let (metrics, audit) = finish(net.as_ref(), 0, end, &|reg| {
+            let (metrics, audit) = finish(net.as_ref(), 0, end, Vec::new(), &|reg| {
                 reg.record_net_stats(net.stats());
                 reg.set_gauge("run.offered_load", *offered);
             });
@@ -755,10 +760,16 @@ pub fn run_point_full(
                 DriveLimits::for_window(*sim, *drain, *max_stalled),
                 tracer,
             );
-            let (metrics, audit) = finish(&net, net.fault_stats().dropped, outcome.end, &|reg| {
-                net.record_metrics(reg, outcome.end);
-                reg.set_gauge("run.offered_load", *load);
-            });
+            let (metrics, audit) = finish(
+                &net,
+                net.fault_stats().dropped,
+                outcome.end,
+                Vec::new(),
+                &|reg| {
+                    net.record_metrics(reg, outcome.end);
+                    reg.set_gauge("run.offered_load", *load);
+                },
+            );
             let s = net.fault_stats();
             let result = PointResult::Fault(FaultSummary {
                 clean_delivered: s.clean_delivered,
@@ -773,22 +784,21 @@ pub fn run_point_full(
             (result, metrics, audit)
         }
         CampaignPoint::Coherent { kind, spec, seed } => {
-            if exec.audit {
-                let (run, report) = run_coherent_audited(
-                    *kind,
-                    spec,
-                    &config,
-                    coherence::EngineConfig::default(),
-                    *seed,
-                );
-                (PointResult::Coherent(run), None, Some(report))
-            } else {
-                (
-                    PointResult::Coherent(run_coherent(*kind, spec, &config, *seed)),
-                    None,
-                    None,
-                )
-            }
+            let mut net = networks::build_fabric(*kind, fabric);
+            let (run, engine) = drive_coherent(
+                net.as_mut(),
+                spec,
+                coherence::EngineConfig::default(),
+                *seed,
+                tracer,
+                |_| {},
+                exec.audit,
+            );
+            let end = Time::ZERO + run.makespan;
+            let (metrics, audit) = finish(net.as_ref(), 0, end, engine, &|reg| {
+                reg.record_net_stats(net.stats());
+            });
+            (PointResult::Coherent(run), metrics, audit)
         }
         CampaignPoint::Replay {
             kind,
@@ -823,7 +833,7 @@ pub fn run_point_full(
             match run {
                 Ok((summary, net, drops)) => {
                     let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
-                    let (metrics, audit) = finish(net.as_ref(), drops, end, &|reg| {
+                    let (metrics, audit) = finish(net.as_ref(), drops, end, Vec::new(), &|reg| {
                         crate::replay_run::record_replay_metrics(reg, net.as_ref(), &summary);
                     });
                     (PointResult::Replay(summary), metrics, audit)
@@ -1131,6 +1141,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run_coherent;
 
     fn config() -> MacrochipConfig {
         MacrochipConfig::scaled()
@@ -1281,6 +1292,42 @@ mod tests {
             PointResult::Sweep(p) => assert!(p.delivered_bytes_per_ns_per_site > 0.0),
             other => panic!("expected a sweep result, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn coherent_point_traces_and_records_metrics_without_changing_its_run() {
+        let point = CampaignPoint::Coherent {
+            kind: NetworkKind::TwoPhase,
+            spec: WorkloadSpec::Synthetic {
+                pattern: Pattern::Uniform,
+                mix: workloads::SharingMix::MoreSharing,
+                ops_per_core: 3,
+            },
+            seed: 5,
+        };
+        let chip = FabricConfig::single(config());
+        let plain = run_point_full(&point, &chip, PointExecOptions::default());
+        let observed = run_point_full(
+            &point,
+            &chip,
+            PointExecOptions {
+                trace: true,
+                metrics: true,
+                trace_capacity: 1 << 20,
+                audit: false,
+            },
+        );
+        assert_eq!(observed.result, plain.result);
+        assert!(plain.trace.is_empty() && plain.metrics.is_none());
+        let seen = |pred: fn(&TraceEvent) -> bool| observed.trace.iter().any(|(_, ev)| pred(ev));
+        assert!(seen(|ev| matches!(ev, TraceEvent::Coherence { .. })));
+        assert!(seen(|ev| matches!(ev, TraceEvent::Deliver { .. })));
+        let metrics = observed.metrics.expect("metrics requested");
+        let PointResult::Coherent(run) = &plain.result else {
+            panic!("expected a coherent result, got {:?}", plain.result);
+        };
+        let delivered = metrics.counters.iter().find(|(n, _)| n == "net.delivered");
+        assert_eq!(delivered.map(|(_, v)| *v), Some(run.packets));
     }
 
     #[test]

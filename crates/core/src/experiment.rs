@@ -10,12 +10,9 @@
 use crate::runner::{drive_observed, DriveLimits};
 use coherence::directory::MAX_SITES;
 use coherence::ops::OpSource;
-use coherence::{CoherenceEngine, EngineConfig, OpStats};
+use coherence::{CoherenceEngine, EngineConfig};
 use desim::{Span, Time, Tracer};
-use netcore::audit::{AuditReport, Auditor};
-use netcore::{Grid, MacrochipConfig, Network, NetworkKind, Packet};
-use std::cell::RefCell;
-use std::rc::Rc;
+use netcore::{AuditViolation, Grid, MacrochipConfig, Network, NetworkKind, Packet};
 use workloads::{AppProfile, AppWorkload, Pattern, SharingMix, SyntheticOpSource};
 
 /// Which workload a coherent run executes.
@@ -177,145 +174,108 @@ pub fn run_coherent_with(
     engine_config: EngineConfig,
     seed: u64,
 ) -> CoherentRun {
-    run_coherent_observed(kind, spec, config, engine_config, seed, |_| {})
-}
-
-/// [`run_coherent_with`] with a capture hook: `observer` sees every packet
-/// the coherence engine injects (requests, forwards, invalidations, acks,
-/// data), in emission order — so a closed-loop run can be captured into a
-/// replayable trace. A no-op observer leaves the run untouched.
-pub fn run_coherent_observed<F: FnMut(&Packet)>(
-    kind: NetworkKind,
-    spec: &WorkloadSpec,
-    config: &MacrochipConfig,
-    engine_config: EngineConfig,
-    seed: u64,
-    observer: F,
-) -> CoherentRun {
-    run_coherent_full(kind, spec, config, engine_config, seed, observer, false).0
-}
-
-/// [`run_coherent_with`] under the invariant auditor: the network's
-/// flight-recorder stream feeds a [`netcore::Auditor`], the run closes
-/// through [`netcore::Auditor::close`] (so the slab-leak check runs on the
-/// drained network), and the coherence engine's structural invariants
-/// (MSHR accounting, pending-line table, directory owner/sharer
-/// exclusivity) are checked after the drain. The returned report merges
-/// both layers' findings.
-pub fn run_coherent_audited(
-    kind: NetworkKind,
-    spec: &WorkloadSpec,
-    config: &MacrochipConfig,
-    engine_config: EngineConfig,
-    seed: u64,
-) -> (CoherentRun, AuditReport) {
-    let (run, report) = run_coherent_full(kind, spec, config, engine_config, seed, |_| {}, true);
-    (run, report.expect("audit requested"))
-}
-
-#[allow(clippy::type_complexity)]
-fn run_coherent_full<F: FnMut(&Packet)>(
-    kind: NetworkKind,
-    spec: &WorkloadSpec,
-    config: &MacrochipConfig,
-    engine_config: EngineConfig,
-    seed: u64,
-    observer: F,
-    audit: bool,
-) -> (CoherentRun, Option<AuditReport>) {
     let mut net = networks::build(kind, *config);
-    let auditor = audit.then(|| Rc::new(RefCell::new(Auditor::new(kind, config))));
-    let tracer = match &auditor {
-        Some(a) => {
-            let tracer = Tracer::shared(a);
-            net.set_tracer(tracer.clone());
-            tracer
-        }
-        None => Tracer::disabled(),
-    };
+    let (run, _) = drive_coherent(
+        net.as_mut(),
+        spec,
+        engine_config,
+        seed,
+        Tracer::disabled(),
+        |_| {},
+        false,
+    );
+    run
+}
 
-    let (stats, completed, mut violations) = match spec {
-        WorkloadSpec::App(profile) => drive_coherent(
-            net.as_mut(),
-            AppWorkload::new(&config.grid, *profile, seed),
-            config,
+/// The coherent harness: plays `spec` through a MOESI engine over the
+/// already-built `net` (whose config sizes the engine and the workload)
+/// to completion.
+///
+/// `tracer` is installed on the network and handed to the engine and
+/// the driver, so one sink sees the coherence messages next to the
+/// network's and the driver's events. `observer` sees every packet the
+/// engine injects (requests, forwards, invalidations, acks, data), in
+/// emission order, so a closed-loop run can be captured into a
+/// replayable trace. With `check`, the engine's structural invariants
+/// (MSHR accounting, pending-line table, directory owner/sharer
+/// exclusivity) are checked after the drain and any violations
+/// returned; the run ends at `Time::ZERO + makespan`.
+pub fn drive_coherent<F: FnMut(&Packet)>(
+    net: &mut dyn Network,
+    spec: &WorkloadSpec,
+    engine_config: EngineConfig,
+    seed: u64,
+    tracer: Tracer,
+    observer: F,
+    check: bool,
+) -> (CoherentRun, Vec<AuditViolation>) {
+    let grid = net.config().grid;
+    match spec {
+        WorkloadSpec::App(profile) => run_engine(
+            net,
+            spec,
+            AppWorkload::new(&grid, *profile, seed),
             engine_config,
             tracer,
             observer,
-            audit,
+            check,
         ),
         WorkloadSpec::Synthetic {
             pattern,
             mix,
             ops_per_core,
-        } => drive_coherent(
-            net.as_mut(),
-            SyntheticOpSource::new(&config.grid, *pattern, *mix, *ops_per_core, seed),
-            config,
+        } => run_engine(
+            net,
+            spec,
+            SyntheticOpSource::new(&grid, *pattern, *mix, *ops_per_core, seed),
             engine_config,
             tracer,
             observer,
-            audit,
+            check,
         ),
-    };
-
-    let report = auditor.map(|a| {
-        let end = stats.last_completion();
-        let mut report = a.borrow_mut().close(net.as_ref(), 0, end);
-        report.total_violations += violations.len() as u64;
-        report.violations.append(&mut violations);
-        report
-    });
-
-    let net_stats = net.stats();
-    let run = CoherentRun {
-        network: kind,
-        workload: spec.name(),
-        makespan: stats.last_completion().saturating_since(Time::ZERO),
-        mean_op_latency: stats.latency().mean(),
-        ops_completed: completed,
-        delivered_bytes: net_stats.delivered_bytes(),
-        routed_bytes: net_stats.routed_bytes(),
-        packets: net_stats.delivered_packets(),
-    };
-    (run, report)
+    }
 }
 
-/// Drives one engine over `net` to completion; shared by the App and
-/// Synthetic arms so their setup cannot drift apart. Returns the engine's
-/// stats, its completed-op count, and (when `check` is set) any engine
-/// invariant violations found after the drain.
-fn drive_coherent<S: OpSource, F: FnMut(&Packet)>(
+/// [`drive_coherent`] for one op-source type, so the App and Synthetic
+/// arms share their setup and the engine stays monomorphic.
+fn run_engine<S: OpSource, F: FnMut(&Packet)>(
     net: &mut dyn Network,
+    spec: &WorkloadSpec,
     source: S,
-    config: &MacrochipConfig,
     engine_config: EngineConfig,
     tracer: Tracer,
     observer: F,
     check: bool,
-) -> (OpStats, u64, Vec<netcore::AuditViolation>) {
-    let mut engine = CoherenceEngine::new(*config, engine_config, source);
+) -> (CoherentRun, Vec<AuditViolation>) {
+    net.set_tracer(tracer.clone());
+    let mut engine = CoherenceEngine::new(*net.config(), engine_config, source);
     engine.set_tracer(tracer.clone());
-    let outcome = drive_observed(net, &mut engine, coherent_limits(), tracer, observer);
+    let outcome = drive_observed(
+        net,
+        &mut engine,
+        DriveLimits::closed_loop(),
+        tracer,
+        observer,
+    );
     debug_assert!(!outcome.timed_out, "coherent run timed out");
     let violations = if check {
         engine.check_invariants(outcome.end)
     } else {
         Vec::new()
     };
-    (
-        engine.stats().clone(),
-        engine.stats().completed(),
-        violations,
-    )
-}
-
-fn coherent_limits() -> DriveLimits {
-    DriveLimits {
-        // Closed-loop runs always converge; the deadline is a safety net.
-        deadline: Time::from_us(1_000_000),
-        max_stalled: usize::MAX,
-    }
+    let stats = engine.stats();
+    let net_stats = net.stats();
+    let run = CoherentRun {
+        network: net.kind(),
+        workload: spec.name(),
+        makespan: stats.last_completion().saturating_since(Time::ZERO),
+        mean_op_latency: stats.latency().mean(),
+        ops_completed: stats.completed(),
+        delivered_bytes: net_stats.delivered_bytes(),
+        routed_bytes: net_stats.routed_bytes(),
+        packets: net_stats.delivered_packets(),
+    };
+    (run, violations)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! harness of the paper's §5 methodology.
 //!
 //! Capture taps the driver through [`run_load_point_observed`] /
-//! [`run_coherent_observed`] with a [`replay::CaptureSink`]-backed
+//! [`drive_coherent`] with a [`replay::CaptureSink`]-backed
 //! observer, so the recorded stream is exactly what the network was asked
 //! to carry. Replay wraps a [`replay::TraceSource`] around the same
 //! [`drive`](crate::runner::drive) loop, so a trace plays through any of
@@ -11,7 +11,7 @@
 //! architecture is judged on *identical* traffic, packet for packet.
 //!
 //! [`run_load_point_observed`]: crate::sweep::run_load_point_observed
-//! [`run_coherent_observed`]: crate::experiment::run_coherent_observed
+//! [`drive_coherent`]: crate::experiment::drive_coherent
 
 use crate::runner::{drive_traced, DriveLimits};
 use desim::{Span, Tracer};

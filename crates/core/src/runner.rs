@@ -25,6 +25,16 @@ impl DriveLimits {
             max_stalled,
         }
     }
+
+    /// Limits for a closed-loop run (coherence, message passing), which
+    /// always converges: no stall bound, and a 1 s deadline as a safety
+    /// net.
+    pub fn closed_loop() -> DriveLimits {
+        DriveLimits {
+            deadline: Time::from_us(1_000_000),
+            max_stalled: usize::MAX,
+        }
+    }
 }
 
 impl Default for DriveLimits {

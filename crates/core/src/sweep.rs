@@ -174,22 +174,13 @@ pub fn sustained_bandwidth(
     options: SweepOptions,
     tolerance: f64,
 ) -> f64 {
-    let mut lo = 0.0; // known sustainable
-    let mut hi = 1.0; // known (or assumed) saturated
-                      // Establish whether full load is sustainable at all.
-    if !run_load_point(kind, pattern, 1.0, config, options).saturated {
-        return 1.0;
-    }
-    while hi - lo > tolerance {
-        let mid = 0.5 * (lo + hi);
-        let p = run_load_point(kind, pattern, mid, config, options);
-        if p.saturated {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    lo
+    sustained_bandwidth_on(
+        || networks::build(kind, *config),
+        pattern,
+        config,
+        options,
+        tolerance,
+    )
 }
 
 /// Like [`sustained_bandwidth`], but over custom-configured networks
@@ -204,8 +195,8 @@ pub fn sustained_bandwidth_on<F>(
 where
     F: Fn() -> Box<dyn netcore::Network>,
 {
-    let mut lo = 0.0;
-    let mut hi = 1.0;
+    let mut lo = 0.0; // known sustainable
+    let mut hi = 1.0; // known (or assumed) saturated
     if !run_load_point_on(factory(), pattern, 1.0, config, options).saturated {
         return 1.0;
     }

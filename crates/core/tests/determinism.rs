@@ -12,11 +12,12 @@ use desim::trace::{chrome_trace_json, RingSink};
 use desim::{Span, Time, TraceEvent, Tracer};
 use faults::FaultPlan;
 use macrochip::campaign::{run_point_full, CampaignPoint, PointExecOptions};
+use macrochip::experiment::WorkloadSpec;
 use macrochip::sweep::{run_load_point_traced, SweepOptions};
 use netcore::{FabricConfig, MacrochipConfig, MetricsRegistry, NetworkKind};
 use std::cell::RefCell;
 use std::rc::Rc;
-use workloads::Pattern;
+use workloads::{AppProfile, Pattern, SharingMix};
 
 const TRACE_CAPACITY: usize = 1 << 20;
 
@@ -245,4 +246,68 @@ fn circuit_setup_fault_points_match_recorded_digests() {
         got.push((label.to_string(), digest(&json, trace)));
     }
     assert_digests(&got, &CIRCUIT_FAULT_DIGESTS);
+}
+
+/// One audited coherent point through the campaign executor: its run and
+/// its audit report's `audit.*` metrics JSON.
+fn run_coherent_point(kind: NetworkKind, spec: &WorkloadSpec) -> (String, String) {
+    let point = CampaignPoint::Coherent {
+        kind,
+        spec: spec.clone(),
+        seed: 0xCAFE,
+    };
+    let exec = PointExecOptions {
+        audit: true,
+        ..PointExecOptions::default()
+    };
+    let run = run_point_full(
+        &point,
+        &FabricConfig::single(MacrochipConfig::scaled()),
+        exec,
+    );
+    let report = run.audit.expect("audit requested");
+    assert!(report.is_clean(), "{kind} {}: {report}", spec.name());
+    let mut reg = MetricsRegistry::new();
+    report.record_metrics(&mut reg);
+    (format!("{:?}", run.result), reg.snapshot().to_json())
+}
+
+/// Audited coherent points on every network, plus the Radix kernel. The
+/// digests were recorded while audited coherent points ran through a
+/// harness of their own, before they shared the network build, tracer
+/// and audit close of the other point kinds.
+const COHERENT_DIGESTS: [(&str, u64); 9] = [
+    ("Token Ring Uniform", 0x7fdeaa3849429256),
+    ("Circuit-Switched Uniform", 0xbc43ccdc6889a5aa),
+    ("Point-to-Point Uniform", 0x7dfa98acd2713e9d),
+    ("Limited Point-to-Point Uniform", 0xa12da7251fc7cbfa),
+    ("2-Phase Arb. Uniform", 0x2cca298aa0837bd5),
+    ("2-Phase Arb. ALT Uniform", 0x636cc5a774ca46d8),
+    ("Hierarchical Uniform", 0xa1c946fca5b361b6),
+    ("Point-to-Point Radix", 0xa9210a0b28a14496),
+    ("Circuit-Switched Radix", 0x0bfb0ef9a34c16ce),
+];
+
+#[test]
+fn coherent_points_match_recorded_digests() {
+    let synthetic = WorkloadSpec::Synthetic {
+        pattern: Pattern::Uniform,
+        mix: SharingMix::LessSharing,
+        ops_per_core: 5,
+    };
+    let radix = WorkloadSpec::App(AppProfile::suite()[0].with_ops_per_core(4));
+    let points = NetworkKind::ALL
+        .into_iter()
+        .map(|kind| (kind, &synthetic))
+        .chain([
+            (NetworkKind::PointToPoint, &radix),
+            (NetworkKind::CircuitSwitched, &radix),
+        ]);
+    let mut got = Vec::new();
+    for (kind, spec) in points {
+        let (run, audit) = run_coherent_point(kind, spec);
+        let label = format!("{} {}", kind.name(), spec.name());
+        got.push((label, digest(&format!("{run}\n{audit}"), Vec::new())));
+    }
+    assert_digests(&got, &COHERENT_DIGESTS);
 }

@@ -7,7 +7,6 @@
 //! cargo run --release -p macrochip-examples --example collectives
 //! ```
 
-use desim::Time;
 use macrochip::prelude::*;
 use macrochip::runner::{drive, DriveLimits};
 use netcore::PacketSource;
@@ -32,14 +31,7 @@ fn main() {
                 bytes,
                 1,
             );
-            let outcome = drive(
-                net.as_mut(),
-                &mut w,
-                DriveLimits {
-                    deadline: Time::from_us(1_000_000),
-                    max_stalled: usize::MAX,
-                },
-            );
+            let outcome = drive(net.as_mut(), &mut w, DriveLimits::closed_loop());
             assert!(!outcome.timed_out && w.is_exhausted());
             println!(
                 "  {:<24} {:>9.2} us",

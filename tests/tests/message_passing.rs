@@ -1,7 +1,6 @@
 //! Integration: message-passing collectives (the paper's §8 future work)
 //! over real networks.
 
-use desim::Time;
 use macrochip::prelude::*;
 use macrochip::runner::{drive, DriveLimits};
 use netcore::PacketSource;
@@ -12,14 +11,7 @@ fn run(kind: NetworkKind, collective: Collective, bytes: u32) -> f64 {
     let mut net = networks::build(kind, config);
     let mut w = MessagePassingWorkload::new(&config.grid, collective, bytes, 1);
     let expected = w.total_messages();
-    let outcome = drive(
-        net.as_mut(),
-        &mut w,
-        DriveLimits {
-            deadline: Time::from_us(1_000_000),
-            max_stalled: usize::MAX,
-        },
-    );
+    let outcome = drive(net.as_mut(), &mut w, DriveLimits::closed_loop());
     assert!(!outcome.timed_out, "{kind} timed out");
     assert!(w.is_exhausted(), "{kind} did not finish");
     // Packets per message: bytes / 64-byte lines.

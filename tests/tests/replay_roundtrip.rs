@@ -1,10 +1,12 @@
 //! Capture → replay round-trip regression: a trace replayed through the
 //! network it was captured on must reproduce the live run's `net.*`
-//! metrics byte-identically, the same trace must play through every
-//! architecture, and a corrupted trace must be rejected cleanly, never
-//! with a panic.
+//! metrics byte-identically (a coherent capture too, where no injection
+//! stalls), the same trace must play through every architecture, and a
+//! corrupted trace must be rejected cleanly, never with a panic.
 
+use coherence::EngineConfig;
 use desim::{Span, Tracer};
+use macrochip::experiment::drive_coherent;
 use macrochip::prelude::*;
 use macrochip::replay_run::record_replay_metrics;
 use macrochip::sweep::run_load_point_observed;
@@ -89,6 +91,56 @@ fn same_network_replay_reproduces_net_metrics_byte_identically() {
          net.* metrics byte for byte"
     );
 
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A closed-loop capture replays like an open-loop one where no injection
+/// stalls: the coherence engine's Radix packets, played back at their
+/// recorded instants through point-to-point, reproduce its `net.*`
+/// metrics (the `capture --workload ... --stats` and `replay --stats`
+/// files). Where injections stall, the live run also re-offers them at
+/// the engine's own event instants, which the trace does not carry, so
+/// `net.rejected` (circuit-switched, limited point-to-point) and even
+/// admission times (hierarchical) can differ.
+#[test]
+fn same_network_replay_of_a_coherent_capture_reproduces_net_metrics() {
+    let cfg = config();
+    let kind = NetworkKind::PointToPoint;
+    let spec = WorkloadSpec::App(AppProfile::suite()[0].with_ops_per_core(10));
+    let path = temp_trace("coherent");
+    let meta = TraceMeta {
+        grid_side: cfg.grid.side() as u16,
+        seed: 42,
+        description: "coherent round-trip regression".into(),
+    };
+    let mut sink = CaptureSink::create_file(&path, &meta).expect("create trace");
+    let mut live = networks::build(kind, cfg);
+    let (run, _) = drive_coherent(
+        live.as_mut(),
+        &spec,
+        EngineConfig::default(),
+        42,
+        Tracer::disabled(),
+        |p| sink.record(p),
+        false,
+    );
+    let header = sink.finish().expect("finish trace");
+    assert_eq!(header.packets, run.packets, "every packet captured");
+
+    let (summary, replayed) = run_replay(
+        kind,
+        &path,
+        &cfg,
+        ReplayOptions::default(),
+        Tracer::disabled(),
+    )
+    .expect("replay");
+    assert!(!summary.saturated && !summary.timed_out && !summary.poisoned);
+    assert_eq!(
+        net_snapshot_json(live.as_ref()),
+        net_snapshot_json(replayed.as_ref()),
+        "replaying a coherent capture must reproduce its net.* metrics"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
